@@ -1,20 +1,20 @@
-//! Flat-arena bench: the `dpsd-bin/v1` + [`FlatSynopsis`] hot path
-//! against the pointer tree it replaces, on the same 1 000-query
-//! workload as `batch_query`. Two comparisons, both CI-gated by
-//! `compare_bench --assert-order`:
+//! Flat-arena bench: the `dpsd-bin/v1` load path and the query kernel
+//! over the loaded columns, on the same 1 000-query workload as
+//! `batch_query`.
 //!
-//! 1. **Query**: `flat_query_batch` (SoA sweep) must not be slower than
-//!    `tree_query_batch` (recursive descent), at heights 7 and 9.
-//! 2. **Load**: `bin_load` (binary validate-then-index) must not be
-//!    slower than `json_parse` (text parse into the pointer tree). The
-//!    load group runs at height 6: the vendored JSON parser is
-//!    superlinear in artifact size (h7 parses in ~10 s, h6 in ~0.6 s),
-//!    and the comparison must fit CI's bench-smoke wall-clock budget.
+//! 1. **Query**: `flat_query_batch` times the kernel's batch sweep over
+//!    a synopsis loaded from bytes, at heights 7 and 9.
+//! 2. **Load**: `bin_load` (binary validate-then-move) must not be
+//!    slower than `json_parse` (text parse into the same columns) —
+//!    CI-gated by `compare_bench --assert-order`. The load group runs
+//!    at height 6: the vendored JSON parser is superlinear in artifact
+//!    size (h7 parses in ~10 s, h6 in ~0.6 s), and the comparison must
+//!    fit CI's bench-smoke wall-clock budget.
 //!
-//! Before any timing, the flat answers are asserted bit-identical to
-//! the tree's and the binary round-trip is asserted byte-stable, so a
-//! bench run doubles as a divergence gate. The report context carries
-//! artifact sizes, arena resident bytes, and **analytic** heap
+//! Before any timing, the loaded answers are asserted bit-identical to
+//! the built tree's and the binary round-trip is asserted byte-stable,
+//! so a bench run doubles as a divergence gate. The report context
+//! carries artifact sizes, arena resident bytes, and **analytic** heap
 //! allocation counts for each load path (the workspace forbids unsafe
 //! code, so a counting `GlobalAlloc` is not an option): the binary
 //! loader performs a fixed number of column-vector allocations, while
@@ -56,9 +56,9 @@ fn bench(c: &mut Criterion) {
         let blob = tree.release().to_flat_bytes();
         let n = tree.node_count();
 
-        // Correctness before timing: the arena must answer bit-for-bit
-        // like the tree on every workload query, and the binary
-        // encoding must be byte-stable.
+        // Correctness before timing: the loaded arena must answer
+        // bit-for-bit like the tree on every workload query, and the
+        // binary encoding must be byte-stable.
         let flat = FlatSynopsis::<2>::from_bytes(&blob).unwrap();
         let expect = tree.query_batch(&queries);
         let got = flat.query_batch(&queries);
@@ -69,8 +69,7 @@ fn bench(c: &mut Criterion) {
                 "flat diverged from the tree at query {i} ({name})"
             );
         }
-        let reloaded = ReleasedSynopsis::<2>::from_flat_bytes(&blob).unwrap();
-        assert_eq!(reloaded.to_flat_bytes(), blob, "binary re-encode drifted");
+        assert_eq!(flat.to_flat_bytes(), blob, "binary re-encode drifted");
 
         dpsd_bench::jsonctx::set_num(&format!("node_count_{name}"), n as f64);
         dpsd_bench::jsonctx::set_num(&format!("bin_bytes_{name}"), blob.len() as f64);
@@ -81,9 +80,6 @@ fn bench(c: &mut Criterion) {
 
         let mut group = c.benchmark_group(format!("flat_query_1000/{name}"));
         group.throughput(Throughput::Elements(queries.len() as u64));
-        group.bench_function("tree_query_batch", |b| {
-            b.iter(|| tree.query_batch(black_box(&queries)).iter().sum::<f64>())
-        });
         group.bench_function("flat_query_batch", |b| {
             b.iter(|| flat.query_batch(black_box(&queries)).iter().sum::<f64>())
         });
@@ -91,8 +87,8 @@ fn bench(c: &mut Criterion) {
     }
 
     // Load-path comparison at height 6 (see the module docs for why the
-    // size is capped): JSON text parse into the pointer tree versus the
-    // binary validate-then-index arena load of the same release.
+    // size is capped): JSON text parse versus the binary
+    // validate-then-move load of the same release.
     let tree = PsdConfig::quadtree(TIGER_DOMAIN, 6, 0.5)
         .with_seed(2)
         .build(&points)
@@ -115,8 +111,9 @@ fn bench(c: &mut Criterion) {
 
     // Context: sizes and analytic allocation counts. The binary loader
     // allocates one Vec per column (mins, maxs, counts, eps_count,
-    // eps_median, released, cut, leafish/level table, plus decoder
-    // scratch) — a constant ~12 regardless of n. The JSON parser's
+    // eps_median, released, cut, the OLS column and its scratch when
+    // post-processed, plus decoder scratch) — a constant ~12 regardless
+    // of n. The JSON parser's
     // floor is one allocation per parsed number token and one per
     // array: > (2D + 1) * n for the rect corners and counts alone. The
     // workspace forbids unsafe code, so a counting `GlobalAlloc` is not

@@ -14,9 +14,8 @@
 //!
 //! `--assert-order` (repeatable) adds an intra-report gate on the
 //! **candidate**: the bench named by `<faster_id>` must have a median
-//! no worse than `<slower_id>`'s. CI uses it to pin claims like "the
-//! flat kernel is not slower than the tree walk" and "binary load is
-//! not slower than JSON parse" to the run's own numbers, with a
+//! no worse than `<slower_id>`'s. CI uses it to pin claims like "binary
+//! load is not slower than JSON parse" to the run's own numbers, with a
 //! self-diff (`compare_bench R.json R.json --assert-order ...`) when
 //! there is no baseline to regress against.
 

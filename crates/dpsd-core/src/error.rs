@@ -2,17 +2,15 @@
 //!
 //! Every fallible operation in the `dpsd` workspace reports through
 //! [`DpsdError`]: building any backend (in any dimension), loading a
-//! published release or synopsis, and checked query paths. Fine-grained
-//! error enums ([`BuildError`], [`ReleaseError`], [`GeometryError`])
-//! remain the
-//! carriers of detail and convert into `DpsdError` via `From`, so `?`
-//! composes across crates. The former `ndim::NdBuildError` is gone:
-//! d-dimensional builds run through the same
-//! [`PsdConfig`](crate::tree::PsdConfig) pipeline and report the
-//! same `BuildError` kinds.
+//! published synopsis, and checked query paths. Fine-grained error
+//! enums ([`BuildError`], [`GeometryError`]) remain the carriers of
+//! detail and convert into `DpsdError` via `From`, so `?` composes
+//! across crates. Builds in every dimension run through the same
+//! [`PsdConfig`](crate::tree::PsdConfig) pipeline and report the same
+//! `BuildError` kinds.
 
 use crate::geometry::GeometryError;
-use crate::tree::{BuildError, ReleaseError};
+use crate::tree::BuildError;
 use std::fmt;
 
 /// Unified error for every backend and artifact in the workspace.
@@ -22,8 +20,6 @@ pub enum DpsdError {
     Build(BuildError),
     /// A rectangle or point was invalid.
     Geometry(GeometryError),
-    /// A published text release could not be read.
-    Release(ReleaseError),
     /// A serialized synopsis could not be parsed or failed validation.
     Format {
         /// What the parser or validator rejected.
@@ -54,7 +50,6 @@ impl fmt::Display for DpsdError {
         match self {
             DpsdError::Build(e) => write!(f, "build failed: {e}"),
             DpsdError::Geometry(e) => write!(f, "bad geometry: {e}"),
-            DpsdError::Release(e) => write!(f, "bad release: {e}"),
             DpsdError::Format { reason } => write!(f, "bad synopsis: {reason}"),
             DpsdError::InvalidParameter { param, reason } => {
                 write!(f, "invalid `{param}`: {reason}")
@@ -81,7 +76,6 @@ impl std::error::Error for DpsdError {
         match self {
             DpsdError::Build(e) => Some(e),
             DpsdError::Geometry(e) => Some(e),
-            DpsdError::Release(e) => Some(e),
             _ => None,
         }
     }
@@ -113,12 +107,6 @@ impl From<BuildError> for DpsdError {
 impl From<GeometryError> for DpsdError {
     fn from(e: GeometryError) -> Self {
         DpsdError::Geometry(e)
-    }
-}
-
-impl From<ReleaseError> for DpsdError {
-    fn from(e: ReleaseError) -> Self {
-        DpsdError::Release(e)
     }
 }
 

@@ -1,21 +1,24 @@
-//! The `dpsd-bin/v1` flat binary synopsis format and the arena-backed
-//! query kernel ([`FlatSynopsis`]).
+//! The `dpsd-bin/v1` binary synopsis format and the one query kernel.
 //!
-//! JSON and the line-oriented text release are convenient to inspect,
-//! but both pay a parse into pointer-y node structures at load time and
-//! a cache-hostile recursive descent at query time. This module is the
-//! serving-scale alternative: a released synopsis serializes to one
-//! little-endian byte blob of **structure-of-arrays columns** which a
-//! validate-then-index pass loads into a [`FlatSynopsis`] arena — a
-//! handful of contiguous `Vec`s, zero per-node allocation — whose batch
-//! kernel sweeps rect-intersection tests over the raw `f64` slices.
+//! A [`ReleasedSynopsis`] *is* the serving arena: the complete tree as
+//! structure-of-arrays columns, laid out exactly as this format carries
+//! them. Publishing writes the columns out as one little-endian,
+//! checksummed blob; loading validates every byte and **moves** the
+//! columns into place — no transpose, no intermediate tree, zero
+//! per-node allocation. [`FlatSynopsis`] names the release type in its
+//! serving role.
 //!
-//! Answers are **bit-identical** to the pointer path: the kernel settles
-//! nodes in exactly the same depth-first preorder as
-//! [`crate::query::range_query_batch`], so `f64` accumulation order (and
-//! therefore every bit of every answer) is preserved. The golden
-//! fingerprint suite and the flat-parity assertions in the benches
-//! enforce this.
+//! The kernel is a cursor-driven depth-first sweep over those columns,
+//! in two forms: a single-query descent (which also reports the
+//! Lemma 2 contribution profile) and a shared batch traversal that
+//! visits each node once per batch, sweeping the still-active queries'
+//! rect tests over the raw `f64` slices. Both settle nodes in the same
+//! depth-first preorder, so `f64` accumulation order — and therefore
+//! every bit of every answer — is identical between them. Every query
+//! path in the workspace (trees and releases, every
+//! [`CountSource`](crate::tree::CountSource), single, batch, profiled)
+//! runs on this kernel; the caller resolves which count column it reads
+//! once per call.
 //!
 //! # Wire layout (`dpsd-bin/v1`, all fields little-endian)
 //!
@@ -46,19 +49,19 @@
 //! field are all typed [`DpsdError::Format`] rejections — the decoder
 //! never panics on untrusted input.
 //!
-//! Like the JSON/text formats, post-processed counts are **not** on the
-//! wire: bit 0 of the flags only records that OLS was applied, and the
-//! loader recomputes it bit-for-bit from the released counts.
+//! Like JSON, post-processed counts are **not** on the wire: bit 0 of
+//! the flags only records that OLS was applied, and the loader
+//! recomputes it bit-for-bit from the released count column.
 //!
 //! # Bit-exactness across formats
 //!
 //! The binary format is the **canonical bit-exact carrier** of a
 //! release: every `f64` travels as its 8 raw bytes, with no text
-//! round-trip involved. JSON and text stay bit-exact too, but only
-//! because the vendored `serde_json` prints floats in shortest-
-//! round-trip form (whole floats as `1.0` — see `vendor/README.md`);
-//! archival and cross-implementation exchange should prefer
-//! `dpsd-bin/v1`, which has no such formatting dependency.
+//! round-trip involved. JSON stays bit-exact too, but only because the
+//! vendored `serde_json` prints floats in shortest-round-trip form
+//! (whole floats as `1.0` — see `vendor/README.md`); archival and
+//! cross-implementation exchange should prefer `dpsd-bin/v1`, which has
+//! no such formatting dependency.
 //!
 //! ```
 //! use dpsd_core::flat::FlatSynopsis;
@@ -75,7 +78,7 @@
 //! // Owner side: one blob, checksummed and self-describing.
 //! let blob = tree.release().to_flat_bytes();
 //!
-//! // Server side: arena-load, then answer identically to the tree.
+//! // Server side: load the columns, then answer identically to the tree.
 //! let flat = FlatSynopsis::<2>::from_bytes(&blob).unwrap();
 //! let q = Rect::new(2.0, 3.0, 11.0, 9.0).unwrap();
 //! assert_eq!(flat.query(&q).to_bits(), tree.query(&q).to_bits());
@@ -84,12 +87,12 @@
 use crate::error::DpsdError;
 use crate::geometry::Rect;
 use crate::query::QueryProfile;
-use crate::synopsis::SpatialSynopsis;
 use crate::tree::released::MAX_NODES;
-use crate::tree::{
-    complete_tree_nodes_checked, first_index_at_depth, CountSource, PsdTree, ReleasedSynopsis,
-    TreeKind,
-};
+use crate::tree::{complete_tree_nodes_checked, first_index_at_depth, ReleasedSynopsis, TreeKind};
+
+/// The serving arena: the release type itself, under the name serving
+/// code and benchmarks use for it.
+pub type FlatSynopsis<const D: usize = 2> = ReleasedSynopsis<D>;
 
 /// Magic bytes opening every `dpsd-bin` artifact.
 pub const MAGIC: [u8; 8] = *b"DPSDBIN1";
@@ -165,88 +168,20 @@ fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    buf.extend_from_slice(&v.to_le_bytes());
+fn put_f64s(buf: &mut Vec<u8>, values: &[f64]) {
+    for v in values {
+        buf.extend_from_slice(&v.to_le_bytes());
+    }
 }
 
-fn put_bitmap(buf: &mut Vec<u8>, bits: impl Iterator<Item = bool>) {
-    let mut byte = 0u8;
-    let mut filled = 0u32;
-    for bit in bits {
-        if bit {
-            byte |= 1 << filled;
+fn put_bitmap(buf: &mut Vec<u8>, bits: &[bool]) {
+    for chunk in bits.chunks(8) {
+        let mut byte = 0u8;
+        for (i, &bit) in chunk.iter().enumerate() {
+            byte |= u8::from(bit) << i;
         }
-        filled += 1;
-        if filled == 8 {
-            buf.push(byte);
-            byte = 0;
-            filled = 0;
-        }
-    }
-    if filled > 0 {
         buf.push(byte);
     }
-}
-
-/// Serializes a released synopsis to one `dpsd-bin/v1` blob (layout in
-/// the module docs). Infallible for any valid [`ReleasedSynopsis`].
-pub(crate) fn encode<const D: usize>(synopsis: &ReleasedSynopsis<D>) -> Vec<u8> {
-    let t = synopsis.as_tree();
-    let n = t.node_count();
-    let h = t.height();
-    let mut buf = Vec::with_capacity(64 + 16 * D + 8 * (2 * h + 4) + 8 * n * (2 * D + 1) + 2 * n);
-    buf.extend_from_slice(&MAGIC);
-    buf.extend_from_slice(&[0u8; 8]); // checksum, patched below
-    put_u32(&mut buf, VERSION);
-    // dpsd-allow(no-panic-in-lib): D is a compile-time dimension; every workspace instantiation is 1..=4
-    put_u32(&mut buf, u32::try_from(D).expect("dimension fits in u32"));
-    put_u32(&mut buf, kind_code(t.kind()));
-    put_u32(
-        &mut buf,
-        if t.is_postprocessed() {
-            FLAG_POSTPROCESSED
-        } else {
-            0
-        },
-    );
-    put_u64(&mut buf, t.fanout() as u64);
-    put_u64(&mut buf, t.height() as u64);
-    put_u64(&mut buf, n as u64);
-    put_f64(&mut buf, t.epsilon());
-    for k in 0..D {
-        put_f64(&mut buf, t.domain().min[k]);
-    }
-    for k in 0..D {
-        put_f64(&mut buf, t.domain().max[k]);
-    }
-    for &e in t.eps_count_levels() {
-        put_f64(&mut buf, e);
-    }
-    for &e in t.eps_median_levels() {
-        put_f64(&mut buf, e);
-    }
-    for depth in 0..=h {
-        put_u64(&mut buf, first_index_at_depth(t.fanout(), depth) as u64);
-    }
-    put_u64(&mut buf, n as u64);
-    for k in 0..D {
-        for v in 0..n {
-            put_f64(&mut buf, t.rect(v).min[k]);
-        }
-    }
-    for k in 0..D {
-        for v in 0..n {
-            put_f64(&mut buf, t.rect(v).max[k]);
-        }
-    }
-    for v in 0..n {
-        put_f64(&mut buf, t.noisy_count(v).unwrap_or(0.0));
-    }
-    put_bitmap(&mut buf, t.node_ids().map(|v| t.noisy_count(v).is_some()));
-    put_bitmap(&mut buf, t.node_ids().map(|v| t.is_cut(v)));
-    let checksum = fnv1a(&buf[16..]);
-    buf[8..16].copy_from_slice(&checksum.to_le_bytes());
-    buf
 }
 
 /// A bounds-checked little-endian byte reader; every failure is a typed
@@ -328,221 +263,295 @@ fn usize_field(value: u64, what: &str) -> Result<usize, DpsdError> {
         .map_err(|_| DpsdError::format(format!("dpsd-bin: {what} {value} does not fit in memory")))
 }
 
-/// A fully validated `dpsd-bin/v1` artifact, still in wire column
-/// order. The wire layout **is** the arena layout (axis-major min/max
-/// columns, a count column, bitmaps), so for non-post-processed
-/// synopses these vectors move straight into a [`FlatSynopsis`] with no
-/// transpose and no intermediate tree; [`Decoded::into_tree`] rebuilds
-/// the pointer-path tree when one is needed (OLS recomputation, or
-/// loading back into a [`ReleasedSynopsis`]).
-struct Decoded<const D: usize> {
-    kind: TreeKind,
-    postprocessed: bool,
-    fanout: usize,
-    height: usize,
-    n: usize,
-    epsilon: f64,
-    domain: Rect<D>,
-    eps_count: Vec<f64>,
-    eps_median: Vec<f64>,
-    /// Axis-major minima, `mins[k * n + v]` — wire order == arena order.
-    mins: Vec<f64>,
-    maxs: Vec<f64>,
-    noisy: Vec<f64>,
-    released: Vec<bool>,
-    cut: Vec<bool>,
-}
+impl<const D: usize> ReleasedSynopsis<D> {
+    /// Serializes to the `dpsd-bin/v1` flat binary format — the
+    /// compact, checksummed, bit-exact carrier for serving at scale
+    /// (layout in the module docs). The node columns are written out
+    /// as they sit in memory.
+    pub fn to_flat_bytes(&self) -> Vec<u8> {
+        let n = self.node_count();
+        let h = self.height;
+        let mut buf =
+            Vec::with_capacity(64 + 16 * D + 8 * (3 * h + 4) + 8 * n * (2 * D + 1) + 2 * n);
+        buf.extend_from_slice(&MAGIC);
+        buf.extend_from_slice(&[0u8; 8]); // checksum, patched below
+        put_u32(&mut buf, VERSION);
+        // dpsd-allow(no-panic-in-lib): D is a compile-time dimension; every workspace instantiation is 1..=4
+        put_u32(&mut buf, u32::try_from(D).expect("dimension fits in u32"));
+        put_u32(&mut buf, kind_code(self.kind));
+        let flags = if self.is_postprocessed() {
+            FLAG_POSTPROCESSED
+        } else {
+            0
+        };
+        put_u32(&mut buf, flags);
+        put_u64(&mut buf, self.fanout as u64);
+        put_u64(&mut buf, h as u64);
+        put_u64(&mut buf, n as u64);
+        buf.extend_from_slice(&self.epsilon.to_le_bytes());
+        put_f64s(&mut buf, &self.domain.min);
+        put_f64s(&mut buf, &self.domain.max);
+        put_f64s(&mut buf, &self.eps_count);
+        put_f64s(&mut buf, &self.eps_median);
+        for depth in 0..=h {
+            put_u64(&mut buf, first_index_at_depth(self.fanout, depth) as u64);
+        }
+        put_u64(&mut buf, n as u64);
+        put_f64s(&mut buf, &self.mins);
+        put_f64s(&mut buf, &self.maxs);
+        put_f64s(&mut buf, &self.noisy);
+        put_bitmap(&mut buf, &self.released);
+        put_bitmap(&mut buf, &self.cut);
+        let checksum = fnv1a(&buf[16..]);
+        buf[8..16].copy_from_slice(&checksum.to_le_bytes());
+        buf
+    }
 
-impl<const D: usize> Decoded<D> {
-    /// Rebuilds the pointer-path tree: per-node rects from the columns,
-    /// OLS recomputed when the flag says the source was post-processed
-    /// (posted counts are never on the wire), pruning cuts re-marked.
-    fn into_tree(self) -> PsdTree<D> {
-        let m = self.n;
-        let mut rects = Vec::with_capacity(m);
+    /// Parses and fully validates a `dpsd-bin/v1` artifact (the
+    /// [`to_flat_bytes`](ReleasedSynopsis::to_flat_bytes) output) into a
+    /// query-ready synopsis: same checks as the JSON loader (shape,
+    /// finiteness, node cap, budget guard), plus checksum and
+    /// exact-length framing.
+    ///
+    /// The wire columns are already in arena order, so after validation
+    /// they move into place. Post-processed counts are never on the
+    /// wire; for a post-processed artifact OLS is recomputed over the
+    /// loaded count column, so answers match the source tree
+    /// bit-for-bit.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, DpsdError> {
+        let mut cur = Cursor { bytes, pos: 0 };
+        if cur.take(8)? != MAGIC {
+            return Err(DpsdError::format(
+                "not a dpsd-bin artifact (bad magic bytes)",
+            ));
+        }
+        let checksum = cur.u64()?;
+        if fnv1a(&bytes[16..]) != checksum {
+            return Err(DpsdError::format(
+                "dpsd-bin: checksum mismatch (corrupt artifact)",
+            ));
+        }
+        let version = cur.u32()?;
+        if version != VERSION {
+            return Err(DpsdError::format(format!(
+                "dpsd-bin: unsupported version {version}"
+            )));
+        }
+        let dims = cur.u32()?;
+        if usize::try_from(dims) != Ok(D) {
+            return Err(DpsdError::format(format!(
+                "dpsd-bin: artifact is {dims}-dimensional, expected {D}"
+            )));
+        }
+        let kind_raw = cur.u32()?;
+        let kind = kind_from_code(kind_raw).ok_or_else(|| {
+            DpsdError::format(format!("dpsd-bin: unknown tree kind code {kind_raw}"))
+        })?;
+        let flags = cur.u32()?;
+        if flags & !FLAG_POSTPROCESSED != 0 {
+            return Err(DpsdError::format(format!(
+                "dpsd-bin: unknown flag bits {flags:#x}"
+            )));
+        }
+        let postprocessed = flags & FLAG_POSTPROCESSED != 0;
+        let fanout = usize_field(cur.u64()?, "fanout")?;
+        if fanout != 1usize << D {
+            return Err(DpsdError::format(format!(
+                "dpsd-bin: fanout {fanout} must be 2^dims"
+            )));
+        }
+        let height = usize_field(cur.u64()?, "height")?;
+        let Some(m) = complete_tree_nodes_checked(fanout, height).filter(|&m| m <= MAX_NODES)
+        else {
+            return Err(DpsdError::format(format!(
+                "dpsd-bin: fanout {fanout} height {height} exceeds the node cap"
+            )));
+        };
+        let node_count = usize_field(cur.u64()?, "node count")?;
+        if node_count != m {
+            return Err(DpsdError::format(format!(
+                "dpsd-bin: node count {node_count} does not match the complete tree ({m} nodes)"
+            )));
+        }
+        let epsilon = cur.f64()?;
+        if !epsilon.is_finite() || epsilon < 0.0 {
+            return Err(DpsdError::format("dpsd-bin: epsilon must be non-negative"));
+        }
+        let domain_min = cur.f64s(D, "domain")?;
+        let domain_max = cur.f64s(D, "domain")?;
+        let mut dmin = [0.0; D];
+        let mut dmax = [0.0; D];
+        dmin.copy_from_slice(&domain_min);
+        dmax.copy_from_slice(&domain_max);
+        let domain = Rect::from_corners(dmin, dmax)
+            .map_err(|e| DpsdError::format(format!("dpsd-bin: domain: {e}")))?;
+        let eps_count = cur.f64s(height + 1, "eps_count")?;
+        let eps_median = cur.f64s(height + 1, "eps_median")?;
+        for (name, levels) in [("eps_count", &eps_count), ("eps_median", &eps_median)] {
+            if levels.iter().any(|e| !e.is_finite() || *e < 0.0) {
+                return Err(DpsdError::format(format!(
+                    "dpsd-bin: {name} entries must be non-negative"
+                )));
+            }
+        }
+        for depth in 0..=height {
+            let offset = cur.u64()?;
+            let expected = first_index_at_depth(fanout, depth) as u64;
+            if offset != expected {
+                return Err(DpsdError::format(format!(
+                    "dpsd-bin: level table entry {offset} at depth {depth}, expected {expected}"
+                )));
+            }
+        }
+        if cur.u64()? != m as u64 {
+            return Err(DpsdError::format(
+                "dpsd-bin: level table must end at the node count",
+            ));
+        }
+        let mins = cur.f64s(D * m, "node minima")?;
+        let maxs = cur.f64s(D * m, "node maxima")?;
         for v in 0..m {
             let mut min = [0.0; D];
             let mut max = [0.0; D];
             for k in 0..D {
-                min[k] = self.mins[k * m + v];
-                max[k] = self.maxs[k * m + v];
+                min[k] = mins[k * m + v];
+                max[k] = maxs[k * m + v];
             }
-            // Already validated corner-by-corner in `decode`.
-            rects.push(Rect { min, max });
+            Rect::from_corners(min, max)
+                .map_err(|e| DpsdError::format(format!("dpsd-bin: node {v}: {e}")))?;
         }
-        let mut tree = PsdTree::from_columns(
-            self.kind,
-            self.fanout,
-            self.height,
-            self.domain,
-            rects,
-            vec![0.0; m], // exact counts were never published
-            self.noisy,
-            self.released,
-            self.eps_count,
-            self.eps_median,
-            self.epsilon,
-        );
-        if self.postprocessed {
-            let beta = crate::postprocess::ols_postprocess(&tree);
-            tree.set_posted(beta);
+        let mut noisy = cur.f64s(m, "noisy count")?;
+        if noisy.iter().any(|c| !c.is_finite()) {
+            return Err(DpsdError::format("dpsd-bin: node counts must be finite"));
         }
-        for (v, &is_cut) in self.cut.iter().enumerate() {
-            if is_cut {
-                tree.mark_cut(v);
+        let released = cur.bitmap(m, "released")?;
+        let cut = cur.bitmap(m, "cut")?;
+        if cur.pos != bytes.len() {
+            return Err(DpsdError::format(format!(
+                "dpsd-bin: {} trailing bytes after the cut bitmap",
+                bytes.len() - cur.pos
+            )));
+        }
+        // Same guard as the JSON loader: OLS recomputation requires a
+        // released leaf level, and a crafted artifact must be a typed error.
+        if postprocessed && eps_count[0] <= 0.0 {
+            return Err(DpsdError::format(
+                "dpsd-bin: postprocessed synopsis must carry leaf-level count budget",
+            ));
+        }
+        // Withheld counts read as zero, whatever bytes a crafted artifact
+        // put there: that is what OLS weighs and what a re-encode writes.
+        for (c, &r) in noisy.iter_mut().zip(&released) {
+            if !r {
+                *c = 0.0;
             }
         }
-        tree
+        let synopsis = ReleasedSynopsis {
+            kind,
+            fanout,
+            height,
+            domain,
+            epsilon,
+            eps_count,
+            eps_median,
+            mins,
+            maxs,
+            noisy,
+            released,
+            posted: None,
+            cut,
+        };
+        Ok(if postprocessed {
+            synopsis.with_ols()
+        } else {
+            synopsis
+        })
     }
 }
 
-/// Parses and fully validates a `dpsd-bin/v1` artifact into a
-/// query-ready tree: same checks as the JSON loader (shape, finiteness,
-/// node cap, budget guard), plus checksum and exact-length framing. OLS
-/// is recomputed, not trusted.
-pub(crate) fn decode_tree<const D: usize>(bytes: &[u8]) -> Result<PsdTree<D>, DpsdError> {
-    Ok(decode::<D>(bytes)?.into_tree())
+/// The count column one query call reads, plus the release mask that
+/// guards it — resolved once per call, never per node.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Counts<'a> {
+    values: &'a [f64],
+    /// `None` when every node carries a count (posted and exact
+    /// columns).
+    released: Option<&'a [bool]>,
 }
 
-/// Validates every byte of a `dpsd-bin/v1` artifact and returns its
-/// columns in wire order (checks shared with the JSON loader: shape,
-/// finiteness, node cap, budget guard — plus checksum and exact-length
-/// framing).
-fn decode<const D: usize>(bytes: &[u8]) -> Result<Decoded<D>, DpsdError> {
-    let mut cur = Cursor { bytes, pos: 0 };
-    if cur.take(8)? != MAGIC {
-        return Err(DpsdError::format(
-            "not a dpsd-bin artifact (bad magic bytes)",
-        ));
-    }
-    let checksum = cur.u64()?;
-    if fnv1a(&bytes[16..]) != checksum {
-        return Err(DpsdError::format(
-            "dpsd-bin: checksum mismatch (corrupt artifact)",
-        ));
-    }
-    let version = cur.u32()?;
-    if version != VERSION {
-        return Err(DpsdError::format(format!(
-            "dpsd-bin: unsupported version {version}"
-        )));
-    }
-    let dims = cur.u32()?;
-    if usize::try_from(dims) != Ok(D) {
-        return Err(DpsdError::format(format!(
-            "dpsd-bin: artifact is {dims}-dimensional, expected {D}"
-        )));
-    }
-    let kind_raw = cur.u32()?;
-    let kind = kind_from_code(kind_raw)
-        .ok_or_else(|| DpsdError::format(format!("dpsd-bin: unknown tree kind code {kind_raw}")))?;
-    let flags = cur.u32()?;
-    if flags & !FLAG_POSTPROCESSED != 0 {
-        return Err(DpsdError::format(format!(
-            "dpsd-bin: unknown flag bits {flags:#x}"
-        )));
-    }
-    let postprocessed = flags & FLAG_POSTPROCESSED != 0;
-    let fanout = usize_field(cur.u64()?, "fanout")?;
-    if fanout != 1usize << D {
-        return Err(DpsdError::format(format!(
-            "dpsd-bin: fanout {fanout} must be 2^dims"
-        )));
-    }
-    let height = usize_field(cur.u64()?, "height")?;
-    let Some(m) = complete_tree_nodes_checked(fanout, height).filter(|&m| m <= MAX_NODES) else {
-        return Err(DpsdError::format(format!(
-            "dpsd-bin: fanout {fanout} height {height} exceeds the node cap"
-        )));
-    };
-    let node_count = usize_field(cur.u64()?, "node count")?;
-    if node_count != m {
-        return Err(DpsdError::format(format!(
-            "dpsd-bin: node count {node_count} does not match the complete tree ({m} nodes)"
-        )));
-    }
-    let epsilon = cur.f64()?;
-    if !epsilon.is_finite() || epsilon < 0.0 {
-        return Err(DpsdError::format("dpsd-bin: epsilon must be non-negative"));
-    }
-    let domain_min = cur.f64s(D, "domain")?;
-    let domain_max = cur.f64s(D, "domain")?;
-    let mut dmin = [0.0; D];
-    let mut dmax = [0.0; D];
-    dmin.copy_from_slice(&domain_min);
-    dmax.copy_from_slice(&domain_max);
-    let domain = Rect::from_corners(dmin, dmax)
-        .map_err(|e| DpsdError::format(format!("dpsd-bin: domain: {e}")))?;
-    let eps_count = cur.f64s(height + 1, "eps_count")?;
-    let eps_median = cur.f64s(height + 1, "eps_median")?;
-    for (name, levels) in [("eps_count", &eps_count), ("eps_median", &eps_median)] {
-        if levels.iter().any(|e| !e.is_finite() || *e < 0.0) {
-            return Err(DpsdError::format(format!(
-                "dpsd-bin: {name} entries must be non-negative"
-            )));
+impl<'a> Counts<'a> {
+    /// A column with a count on every node.
+    pub(crate) fn dense(values: &'a [f64]) -> Self {
+        Counts {
+            values,
+            released: None,
         }
     }
-    for depth in 0..=height {
-        let offset = cur.u64()?;
-        let expected = first_index_at_depth(fanout, depth) as u64;
-        if offset != expected {
-            return Err(DpsdError::format(format!(
-                "dpsd-bin: level table entry {offset} at depth {depth}, expected {expected}"
-            )));
+
+    /// The count of node `v`, or `None` where it was withheld.
+    #[inline]
+    pub(crate) fn get(&self, v: usize) -> Option<f64> {
+        match self.released {
+            Some(mask) if !mask[v] => None,
+            _ => Some(self.values[v]),
         }
     }
-    if cur.u64()? != m as u64 {
-        return Err(DpsdError::format(
-            "dpsd-bin: level table must end at the node count",
-        ));
-    }
-    let mins = cur.f64s(D * m, "node minima")?;
-    let maxs = cur.f64s(D * m, "node maxima")?;
-    for v in 0..m {
-        let mut min = [0.0; D];
-        let mut max = [0.0; D];
-        for k in 0..D {
-            min[k] = mins[k * m + v];
-            max[k] = maxs[k * m + v];
+}
+
+impl<const D: usize> ReleasedSynopsis<D> {
+    /// The released noisy counts, masked where withheld.
+    pub(crate) fn noisy_counts(&self) -> Counts<'_> {
+        Counts {
+            values: &self.noisy,
+            released: Some(&self.released),
         }
-        Rect::from_corners(min, max)
-            .map_err(|e| DpsdError::format(format!("dpsd-bin: node {v}: {e}")))?;
     }
-    let noisy = cur.f64s(m, "noisy count")?;
-    if noisy.iter().any(|c| !c.is_finite()) {
-        return Err(DpsdError::format("dpsd-bin: node counts must be finite"));
+
+    /// The `Auto` source: post-processed counts when available,
+    /// otherwise the masked noisy counts.
+    pub(crate) fn auto_counts(&self) -> Counts<'_> {
+        match &self.posted {
+            Some(posted) => Counts::dense(posted),
+            None => self.noisy_counts(),
+        }
     }
-    let released = cur.bitmap(m, "released")?;
-    let cut = cur.bitmap(m, "cut")?;
-    if cur.pos != bytes.len() {
-        return Err(DpsdError::format(format!(
-            "dpsd-bin: {} trailing bytes after the cut bitmap",
-            bytes.len() - cur.pos
-        )));
+
+    /// Answers one query from `counts`.
+    pub(crate) fn answer(&self, query: &Rect<D>, counts: Counts<'_>) -> f64 {
+        let mut acc = 0.0;
+        Sweep::new(self, counts).descend_single(0, query, &mut acc, &mut None);
+        acc
     }
-    // Same guard as the JSON/text loaders: OLS recomputation requires a
-    // released leaf level, and a crafted artifact must be a typed error.
-    if postprocessed && eps_count[0] <= 0.0 {
-        return Err(DpsdError::format(
-            "dpsd-bin: postprocessed synopsis must carry leaf-level count budget",
-        ));
+
+    /// Answers one query from `counts` and reports which nodes
+    /// contributed.
+    pub(crate) fn answer_profiled(
+        &self,
+        query: &Rect<D>,
+        counts: Counts<'_>,
+    ) -> (f64, QueryProfile) {
+        let mut acc = 0.0;
+        let mut profile = QueryProfile {
+            contained_per_level: vec![0; self.height + 1],
+            partial_leaves: 0,
+        };
+        Sweep::new(self, counts).descend_single(0, query, &mut acc, &mut Some(&mut profile));
+        (acc, profile)
     }
-    Ok(Decoded {
-        kind,
-        postprocessed,
-        fanout,
-        height,
-        n: m,
-        epsilon,
-        domain,
-        eps_count,
-        eps_median,
-        mins,
-        maxs,
-        noisy,
-        released,
-        cut,
-    })
+
+    /// Answers every query of a workload from `counts` with one shared
+    /// traversal per `u32`-indexable chunk.
+    pub(crate) fn answer_batch(&self, queries: &[Rect<D>], counts: Counts<'_>) -> Vec<f64> {
+        let sweep = Sweep::new(self, counts);
+        let mut answers = vec![0.0f64; queries.len()];
+        for (chunk, out) in queries
+            .chunks(MAX_BATCH_CHUNK)
+            .zip(answers.chunks_mut(MAX_BATCH_CHUNK))
+        {
+            sweep.batch_chunk(chunk, out);
+        }
+        answers
+    }
 }
 
 /// Batches are carried as `u32` query indices (half the frontier memory
@@ -560,277 +569,87 @@ struct Frame {
     list: Vec<u32>,
 }
 
-/// A released synopsis flattened into structure-of-arrays columns: the
-/// zero-per-node-allocation arena behind `dpsd-bin` serving.
-///
-/// Everything a query needs is pre-resolved at construction — effective
-/// leaf flags, the `Auto` count column, per-axis min/max slices — so the
-/// hot loop is pure contiguous-slice arithmetic with no `Option`
-/// chasing and no per-node structure loads. Implements
-/// [`SpatialSynopsis`], so batch sharding
-/// ([`ParallelQuery`](crate::synopsis::ParallelQuery)) and the serve
-/// cache compose unchanged, and all answers are bit-identical to the
-/// source tree's.
-#[derive(Debug, Clone)]
-pub struct FlatSynopsis<const D: usize = 2> {
-    kind: TreeKind,
-    fanout: usize,
-    height: usize,
-    domain: Rect<D>,
-    epsilon: f64,
-    eps_count: Vec<f64>,
-    eps_median: Vec<f64>,
-    postprocessed: bool,
-    /// Node count.
-    n: usize,
-    /// Axis-major minima: `mins[k * n + v]` is node `v`'s lower bound on
-    /// axis `k`. Keeping each axis contiguous is what lets the sweep
-    /// autovectorize.
-    mins: Vec<f64>,
-    maxs: Vec<f64>,
-    /// `Auto`-resolved counts (posted when available, else noisy);
-    /// `0.0` where withheld — guarded by `has_count`.
-    counts: Vec<f64>,
-    has_count: Vec<bool>,
-    /// Effective-leaf flags (bottom level or pruning cut).
-    leafish: Vec<bool>,
-    /// First node index per depth, root first, with a final `n` sentinel
-    /// (`height + 2` entries) — the fixed-width offset table of the
-    /// binary format, kept for depth lookups.
-    level_first: Vec<usize>,
+/// One resolved kernel call: the arena, the count column it reads, and
+/// where the bottom level starts.
+struct Sweep<'a, const D: usize> {
+    arena: &'a ReleasedSynopsis<D>,
+    counts: Counts<'a>,
+    leaf_first: usize,
 }
 
-impl<const D: usize> FlatSynopsis<D> {
-    /// Flattens a released synopsis into the arena.
-    pub fn from_released(synopsis: &ReleasedSynopsis<D>) -> Self {
-        Self::from_tree(synopsis.as_tree())
-    }
-
-    /// Flattens any built tree into the arena. Counts are resolved as
-    /// the tree's `Auto` source resolves them (posted when available,
-    /// otherwise released noisy counts), so answers match
-    /// [`crate::query::range_query`] on the same tree bit-for-bit.
-    pub fn from_tree(tree: &PsdTree<D>) -> Self {
-        let n = tree.node_count();
-        let fanout = tree.fanout();
-        let height = tree.height();
-        let mut mins = vec![0.0; D * n];
-        let mut maxs = vec![0.0; D * n];
-        let mut counts = vec![0.0; n];
-        let mut has_count = vec![false; n];
-        let mut leafish = vec![false; n];
-        for v in 0..n {
-            let r = tree.rect(v);
-            for k in 0..D {
-                mins[k * n + v] = r.min[k];
-                maxs[k * n + v] = r.max[k];
-            }
-            if let Some(c) = tree.count(v, CountSource::Auto) {
-                counts[v] = c;
-                has_count[v] = true;
-            }
-            leafish[v] = tree.is_effective_leaf(v);
-        }
-        let mut level_first = Vec::with_capacity(height + 2);
-        for depth in 0..=height {
-            level_first.push(first_index_at_depth(fanout, depth));
-        }
-        level_first.push(n);
-        FlatSynopsis {
-            kind: tree.kind(),
-            fanout,
-            height,
-            domain: *tree.domain(),
-            epsilon: tree.epsilon(),
-            eps_count: tree.eps_count_levels().to_vec(),
-            eps_median: tree.eps_median_levels().to_vec(),
-            postprocessed: tree.is_postprocessed(),
-            n,
-            mins,
-            maxs,
+impl<'a, const D: usize> Sweep<'a, D> {
+    fn new(arena: &'a ReleasedSynopsis<D>, counts: Counts<'a>) -> Self {
+        Sweep {
+            arena,
             counts,
-            has_count,
-            leafish,
-            level_first,
+            leaf_first: arena.leaf_first(),
         }
     }
 
-    /// Validates a `dpsd-bin/v1` blob and loads it straight into the
-    /// arena (see the module docs for the layout).
-    ///
-    /// The wire columns are already in arena order, so after validation
-    /// they **move** into place: no transpose, no intermediate tree, and
-    /// zero per-node allocation. The one exception is a post-processed
-    /// artifact, whose posted counts are never on the wire — OLS is
-    /// defined over the tree structure, so that path rebuilds the
-    /// pointer tree once, recomputes, and flattens.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, DpsdError> {
-        let d = decode::<D>(bytes)?;
-        if d.postprocessed {
-            return Ok(Self::from_tree(&d.into_tree()));
-        }
-        // Non-post-processed: `Auto` count resolution is exactly "noisy
-        // where released", which is what the wire carries; effective
-        // leaves are the bottom level plus the pruning cuts.
-        let n = d.n;
-        let leaf_first = if d.height == 0 {
-            0
-        } else {
-            first_index_at_depth(d.fanout, d.height)
-        };
-        let mut leafish = d.cut;
-        for flag in leafish[leaf_first..].iter_mut() {
-            *flag = true;
-        }
-        let mut level_first = Vec::with_capacity(d.height + 2);
-        for depth in 0..=d.height {
-            level_first.push(first_index_at_depth(d.fanout, depth));
-        }
-        level_first.push(n);
-        Ok(FlatSynopsis {
-            kind: d.kind,
-            fanout: d.fanout,
-            height: d.height,
-            domain: d.domain,
-            epsilon: d.epsilon,
-            eps_count: d.eps_count,
-            eps_median: d.eps_median,
-            postprocessed: false,
-            n,
-            mins: d.mins,
-            maxs: d.maxs,
-            counts: d.noisy,
-            has_count: d.released,
-            leafish,
-            level_first,
-        })
-    }
-
-    /// The family the source tree belongs to.
-    pub fn kind(&self) -> TreeKind {
-        self.kind
-    }
-
-    /// Fanout `f = 2^D`.
-    pub fn fanout(&self) -> usize {
-        self.fanout
-    }
-
-    /// Height `h` (leaves at level 0, root at level `h`).
-    pub fn height(&self) -> usize {
-        self.height
-    }
-
-    /// Whether the source tree was OLS-post-processed.
-    pub fn is_postprocessed(&self) -> bool {
-        self.postprocessed
-    }
-
-    /// Per-level count budgets (index 0 = leaves).
-    pub fn eps_count_levels(&self) -> &[f64] {
-        &self.eps_count
-    }
-
-    /// Per-level median budgets (index 0 = leaves).
-    pub fn eps_median_levels(&self) -> &[f64] {
-        &self.eps_median
-    }
-
-    /// Resident size of the arena's node columns in bytes — what the
-    /// load-time benches report as `resident_bytes`.
-    pub fn resident_bytes(&self) -> usize {
-        self.mins.len() * 8
-            + self.maxs.len() * 8
-            + self.counts.len() * 8
-            + self.has_count.len()
-            + self.leafish.len()
-            + self.level_first.len() * 8
-    }
-
-    /// Depth of node `v` (root 0), via the level offset table.
-    fn depth_of(&self, v: usize) -> usize {
-        match self.level_first.binary_search(&v) {
-            Ok(depth) => depth,
-            Err(insertion) => insertion - 1,
-        }
-    }
-
-    /// Level of node `v` in the paper's convention (leaves 0).
-    fn level_of(&self, v: usize) -> usize {
-        self.height - self.depth_of(v)
-    }
-
-    /// Rebuilds node `v`'s rectangle from the columns. Only the partial-
-    /// leaf path pays this; containment tests read the columns directly.
+    /// Whether queries treat `v` as a leaf: bottom level or pruning cut.
     #[inline]
-    fn node_rect(&self, v: usize) -> Rect<D> {
-        let mut min = [0.0; D];
-        let mut max = [0.0; D];
-        for k in 0..D {
-            min[k] = self.mins[k * self.n + v];
-            max[k] = self.maxs[k * self.n + v];
-        }
-        Rect { min, max }
+    fn leafish(&self, v: usize) -> bool {
+        v >= self.leaf_first || self.arena.cut[v]
     }
 
-    /// Whether node `v` has children in the complete tree.
-    #[inline]
-    fn has_children(&self, v: usize) -> bool {
-        self.height > 0 && v < self.level_first[self.height]
-    }
-
-    /// Single-query descent, op-for-op the recursion of
-    /// [`crate::query::range_query`] (and its profiled variant) so the
-    /// accumulation order — and therefore every output bit — matches.
+    /// Single-query descent (paper Section 4.1): add the count of every
+    /// maximally contained node that has one, fall through withheld
+    /// internal nodes to their children, and estimate partially covered
+    /// effective leaves by the uniformity assumption. Contributions are
+    /// added in depth-first preorder — the order the batch sweep uses —
+    /// so single and batched answers agree bit-for-bit.
     fn descend_single(
         &self,
         v: usize,
         query: &Rect<D>,
         acc: &mut f64,
-        profile: &mut Option<QueryProfile>,
+        profile: &mut Option<&mut QueryProfile>,
     ) {
-        let node = self.node_rect(v);
+        let node = self.arena.rect(v);
         if !node.intersects(query) {
             return;
         }
-        let leafish = self.leafish[v];
+        let leafish = self.leafish(v);
+        let count = self.counts.get(v);
         if node.inside(query) {
-            if self.has_count[v] {
-                if let Some(p) = profile.as_mut() {
-                    p.contained_per_level[self.level_of(v)] += 1;
+            if let Some(c) = count {
+                if let Some(p) = profile.as_deref_mut() {
+                    p.contained_per_level[self.arena.level_of(v)] += 1;
                 }
-                *acc += self.counts[v];
+                *acc += c;
                 return;
             }
             if leafish {
+                // A withheld effective leaf can contribute nothing.
                 return;
             }
         } else if leafish {
-            if self.has_count[v] {
+            // Leaves that merely touch the query boundary (zero
+            // overlap) contribute nothing and are not profiled.
+            if let Some(c) = count {
                 let fraction = node.overlap_fraction(query);
                 if fraction > 0.0 {
-                    if let Some(p) = profile.as_mut() {
+                    if let Some(p) = profile.as_deref_mut() {
                         p.partial_leaves += 1;
                     }
-                    *acc += self.counts[v] * fraction;
+                    *acc += c * fraction;
                 }
             }
             return;
         }
-        if self.has_children(v) {
-            let first = self.fanout * v + 1;
-            for child in first..first + self.fanout {
-                self.descend_single(child, query, acc, profile);
-            }
+        // Not an effective leaf, so `v` has a full block of children.
+        let first = self.arena.fanout * v + 1;
+        for child in first..first + self.arena.fanout {
+            self.descend_single(child, query, acc, profile);
         }
     }
 
     /// The batch sweep over one `u32`-indexable chunk. An explicit
-    /// cursor stack replaces the tree path's recursion, but nodes are
-    /// settled in the **same depth-first preorder** — one sibling at a
-    /// time, descending immediately — so `f64` accumulation order is
-    /// identical and answers stay bit-for-bit equal to
-    /// [`crate::query::range_query_batch`].
+    /// cursor stack replaces recursion, but nodes are settled in the
+    /// **same depth-first preorder** as [`Sweep::descend_single`] — one
+    /// sibling at a time, descending immediately — so `f64`
+    /// accumulation order is identical and answers stay bit-for-bit
+    /// equal to the single-query path.
     fn batch_chunk(&self, queries: &[Rect<D>], answers: &mut [f64]) {
         debug_assert_eq!(queries.len(), answers.len());
         if queries.is_empty() {
@@ -844,7 +663,8 @@ impl<const D: usize> FlatSynopsis<D> {
             list: root_active,
         }];
         let mut pool: Vec<Vec<u32>> = Vec::new();
-        let n = self.n;
+        let (mins, maxs) = (&self.arena.mins[..], &self.arena.maxs[..]);
+        let n = self.arena.node_count();
         while let Some(top) = stack.last() {
             if top.next == top.len {
                 if let Some(done) = stack.pop() {
@@ -855,9 +675,8 @@ impl<const D: usize> FlatSynopsis<D> {
                 continue;
             }
             let v = top.first + top.next;
-            let leafish = self.leafish[v];
-            let has = self.has_count[v];
-            let count = self.counts[v];
+            let leafish = self.leafish(v);
+            let count = self.counts.get(v);
             let mut forwarded = pool.pop().unwrap_or_default();
             for &qi in &top.list {
                 // dpsd-allow(no-silent-as-truncation): indices come from `0u32..take(len)`; widening into usize
@@ -870,8 +689,8 @@ impl<const D: usize> FlatSynopsis<D> {
                 let mut inside = true;
                 for k in 0..D {
                     let off = k * n + v;
-                    let lo = self.mins[off];
-                    let hi = self.maxs[off];
+                    let lo = mins[off];
+                    let hi = maxs[off];
                     intersecting &= lo <= q.max[k] && q.min[k] <= hi;
                     inside &= lo >= q.min[k] && hi <= q.max[k];
                 }
@@ -879,21 +698,20 @@ impl<const D: usize> FlatSynopsis<D> {
                     continue;
                 }
                 if inside {
-                    if has {
-                        answers[i] += count;
+                    if let Some(c) = count {
+                        answers[i] += c;
                         continue;
                     }
                     if leafish {
                         continue;
                     }
                 } else if leafish {
-                    if has {
+                    if let Some(c) = count {
                         // The real geometry method, on the rebuilt rect:
-                        // op-identical to the tree path's uniformity
-                        // estimate.
-                        let fraction = self.node_rect(v).overlap_fraction(q);
+                        // op-identical to the single-query estimate.
+                        let fraction = self.arena.rect(v).overlap_fraction(q);
                         if fraction > 0.0 {
-                            answers[i] += count * fraction;
+                            answers[i] += c * fraction;
                         }
                     }
                     continue;
@@ -908,8 +726,8 @@ impl<const D: usize> FlatSynopsis<D> {
                 // Non-empty `forwarded` implies the node fell through
                 // both leaf arms, so it has children.
                 stack.push(Frame {
-                    first: self.fanout * v + 1,
-                    len: self.fanout,
+                    first: self.arena.fanout * v + 1,
+                    len: self.arena.fanout,
                     next: 0,
                     list: forwarded,
                 });
@@ -918,58 +736,12 @@ impl<const D: usize> FlatSynopsis<D> {
     }
 }
 
-impl<const D: usize> SpatialSynopsis<D> for FlatSynopsis<D> {
-    fn query(&self, query: &Rect<D>) -> f64 {
-        let mut acc = 0.0;
-        let mut profile = None;
-        self.descend_single(0, query, &mut acc, &mut profile);
-        acc
-    }
-
-    fn query_batch(&self, queries: &[Rect<D>]) -> Vec<f64> {
-        let mut answers = vec![0.0f64; queries.len()];
-        for (chunk, out) in queries
-            .chunks(MAX_BATCH_CHUNK)
-            .zip(answers.chunks_mut(MAX_BATCH_CHUNK))
-        {
-            self.batch_chunk(chunk, out);
-        }
-        answers
-    }
-
-    fn query_profiled(&self, query: &Rect<D>) -> (f64, QueryProfile) {
-        let mut acc = 0.0;
-        let mut profile = Some(QueryProfile {
-            contained_per_level: vec![0; self.height + 1],
-            partial_leaves: 0,
-        });
-        self.descend_single(0, query, &mut acc, &mut profile);
-        let profile = profile.unwrap_or(QueryProfile {
-            contained_per_level: Vec::new(),
-            partial_leaves: 0,
-        });
-        (acc, profile)
-    }
-
-    fn domain(&self) -> Rect<D> {
-        self.domain
-    }
-
-    fn epsilon(&self) -> f64 {
-        self.epsilon
-    }
-
-    fn node_count(&self) -> usize {
-        self.n
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::budget::CountBudget;
     use crate::geometry::Point;
-    use crate::synopsis::ParallelQuery;
+    use crate::synopsis::{ParallelQuery, SpatialSynopsis};
     use crate::tree::PsdConfig;
     use crate::Parallelism;
 
@@ -1013,6 +785,8 @@ mod tests {
 
     #[test]
     fn flat_kernel_matches_tree_bit_for_bit_across_families() {
+        // The arena loaded from bytes (OLS recomputed where flagged)
+        // answers like the built tree: batched, single and sharded.
         let (domain, pts) = sample_points();
         let configs = [
             PsdConfig::quadtree(domain, 4, 0.5),
@@ -1024,17 +798,18 @@ mod tests {
         let queries = workload(&domain, 300);
         for config in configs {
             let tree = config.with_seed(21).build(&pts).unwrap();
-            let flat = FlatSynopsis::from_tree(&tree);
+            let flat = FlatSynopsis::<2>::from_bytes(&tree.release().to_flat_bytes()).unwrap();
             let expect = tree.query_batch(&queries);
+            let kind = tree.kind();
             assert_bits_eq(
                 &flat.query_batch(&queries),
                 &expect,
-                &format!("{} batch", tree.kind()),
+                &format!("{kind} batch"),
             );
             let singles: Vec<f64> = queries.iter().map(|q| flat.query(q)).collect();
-            assert_bits_eq(&singles, &expect, &format!("{} singles", tree.kind()));
+            assert_bits_eq(&singles, &expect, &format!("{kind} singles"));
             let parallel = flat.query_batch_parallel(&queries, Parallelism::fixed(3));
-            assert_bits_eq(&parallel, &expect, &format!("{} parallel", tree.kind()));
+            assert_bits_eq(&parallel, &expect, &format!("{kind} parallel"));
         }
     }
 
@@ -1049,7 +824,7 @@ mod tests {
         assert!(tree.node_ids().any(|v| tree.is_cut(v)), "no pruning");
         let released = tree.release();
         let blob = released.to_flat_bytes();
-        let reloaded = ReleasedSynopsis::<2>::from_flat_bytes(&blob).unwrap();
+        let reloaded = ReleasedSynopsis::<2>::from_bytes(&blob).unwrap();
         let queries = workload(&domain, 200);
         assert_bits_eq(
             &reloaded.query_batch(&queries),
@@ -1058,28 +833,18 @@ mod tests {
         );
         // Encoding is deterministic, so the blob round-trips exactly.
         assert_eq!(reloaded.to_flat_bytes(), blob, "re-encode drifted");
-        // And the arena constructor answers the same.
-        let flat = FlatSynopsis::<2>::from_bytes(&blob).unwrap();
-        assert_bits_eq(
-            &flat.query_batch(&queries),
-            &released.query_batch(&queries),
-            "arena from bytes",
-        );
         for v in tree.node_ids() {
-            assert_eq!(reloaded.as_tree().is_cut(v), tree.is_cut(v), "cut {v}");
-            assert_eq!(
-                reloaded.as_tree().noisy_count(v),
-                tree.noisy_count(v),
-                "count {v}"
-            );
+            assert_eq!(reloaded.is_cut(v), tree.is_cut(v), "cut {v}");
+            assert_eq!(reloaded.noisy_count(v), tree.noisy_count(v), "count {v}");
+            assert_eq!(reloaded.posted_count(v), tree.posted_count(v), "posted {v}");
         }
     }
 
     #[test]
     fn direct_arena_load_matches_flatten_for_unpostprocessed_trees() {
-        // A non-post-processed artifact takes the move-columns fast path
-        // in `from_bytes`; it must agree with flattening the source tree
-        // on answers, leaf resolution (pruning cuts!), and layout.
+        // A non-post-processed artifact loads with no OLS column; it
+        // must agree with the release it came from on answers, leaf
+        // resolution (pruning cuts!), and layout.
         let (domain, pts) = sample_points();
         let tree = PsdConfig::kd_standard(domain, 4, 0.4)
             .with_postprocess(false)
@@ -1088,16 +853,15 @@ mod tests {
             .build(&pts)
             .unwrap();
         assert!(tree.node_ids().any(|v| tree.is_cut(v)), "no pruning");
-        let blob = tree.release().to_flat_bytes();
-        let direct = FlatSynopsis::<2>::from_bytes(&blob).unwrap();
-        let flattened = FlatSynopsis::from_tree(&tree);
+        let released = tree.release();
+        let direct = FlatSynopsis::<2>::from_bytes(&released.to_flat_bytes()).unwrap();
         let queries = workload(&domain, 200);
         assert_bits_eq(
             &direct.query_batch(&queries),
-            &flattened.query_batch(&queries),
+            &released.query_batch(&queries),
             "direct arena load",
         );
-        assert_eq!(direct.resident_bytes(), flattened.resident_bytes());
+        assert_eq!(direct.resident_bytes(), released.resident_bytes());
         assert!(!direct.is_postprocessed());
     }
 
@@ -1108,11 +872,12 @@ mod tests {
             .with_seed(11)
             .build(&pts)
             .unwrap();
-        let flat = FlatSynopsis::from_tree(&tree);
+        let flat = FlatSynopsis::<2>::from_bytes(&tree.release().to_flat_bytes()).unwrap();
         for q in workload(&domain, 60) {
             let (a, pa) = tree.query_profiled(&q);
             let (b, pb) = flat.query_profiled(&q);
             assert_eq!(a.to_bits(), b.to_bits());
+            assert_eq!(b.to_bits(), flat.query(&q).to_bits());
             assert_eq!(pa, pb, "profile diverged for {q:?}");
         }
     }
@@ -1127,13 +892,13 @@ mod tests {
             .build(&pts)
             .unwrap();
         let blob = leafy.release().to_flat_bytes();
-        let loaded = ReleasedSynopsis::<2>::from_flat_bytes(&blob).unwrap();
-        assert_eq!(loaded.as_tree().noisy_count(0), None, "root stays withheld");
-        assert!(!loaded.as_tree().is_postprocessed());
+        let loaded = ReleasedSynopsis::<2>::from_bytes(&blob).unwrap();
+        assert_eq!(loaded.noisy_count(0), None, "root stays withheld");
+        assert!(!loaded.is_postprocessed());
         let queries = workload(&domain, 100);
         assert_bits_eq(
             &loaded.query_batch(&queries),
-            &leafy.release().query_batch(&queries),
+            &leafy.query_batch(&queries),
             "leaf-only",
         );
     }
@@ -1146,13 +911,13 @@ mod tests {
             .build(&pts)
             .unwrap();
         let good = tree.release().to_flat_bytes();
-        assert!(ReleasedSynopsis::<2>::from_flat_bytes(&good).is_ok());
+        assert!(ReleasedSynopsis::<2>::from_bytes(&good).is_ok());
 
         // Bad magic.
         let mut bad = good.clone();
         bad[0] ^= 0xff;
         assert!(matches!(
-            ReleasedSynopsis::<2>::from_flat_bytes(&bad),
+            ReleasedSynopsis::<2>::from_bytes(&bad),
             Err(DpsdError::Format { .. })
         ));
         // Flipped payload byte fails the checksum.
@@ -1160,19 +925,19 @@ mod tests {
         let last = bad.len() - 1;
         bad[last] ^= 0x01;
         assert!(matches!(
-            ReleasedSynopsis::<2>::from_flat_bytes(&bad),
+            ReleasedSynopsis::<2>::from_bytes(&bad),
             Err(DpsdError::Format { reason }) if reason.contains("checksum")
         ));
         // Wrong dimension rejects under a typed error.
         assert!(matches!(
-            ReleasedSynopsis::<3>::from_flat_bytes(&good),
+            ReleasedSynopsis::<3>::from_bytes(&good),
             Err(DpsdError::Format { reason }) if reason.contains("dimensional")
         ));
         // Every truncation is an error, never a panic.
         for len in 0..good.len() {
             assert!(
                 matches!(
-                    ReleasedSynopsis::<2>::from_flat_bytes(&good[..len]),
+                    ReleasedSynopsis::<2>::from_bytes(&good[..len]),
                     Err(DpsdError::Format { .. })
                 ),
                 "prefix of {len} bytes must be rejected"
@@ -1185,7 +950,7 @@ mod tests {
         let sum = super::fnv1a(&padded[16..]);
         padded[8..16].copy_from_slice(&sum.to_le_bytes());
         assert!(matches!(
-            ReleasedSynopsis::<2>::from_flat_bytes(&padded),
+            ReleasedSynopsis::<2>::from_bytes(&padded),
             Err(DpsdError::Format { reason }) if reason.contains("trailing")
         ));
     }

@@ -22,9 +22,9 @@
 //! | [`budget`] | 4.2, 6.2 | per-level budget strategies and path-composition auditing |
 //! | [`tree`] | 3.3, 6, 7 | PSD construction, pruning, and the publishable [`ReleasedSynopsis`] |
 //! | [`stream`] | — | streaming ingest and continual epoch release ([`StreamIngestor`], [`budget::EpsilonLedger`]) |
-//! | [`flat`] | — | the `dpsd-bin/v1` binary codec and the arena-backed [`FlatSynopsis`] query kernel |
+//! | [`flat`] | — | the `dpsd-bin/v1` binary codec and the one query kernel, over the [`ReleasedSynopsis`] columns |
 //! | [`postprocess`] | 5 | three-phase OLS estimator and a dense reference solver |
-//! | [`query`] | 4.1 | canonical range queries, single and batched |
+//! | [`query`] | 4.1 | canonical range queries from any count source, single and batched |
 //! | [`analysis`] | 4.2 | closed-form worst-case error bounds (Figure 2, Lemmas 2-3) |
 //! | [`geometry`] | — | const-generic points and axis-aligned boxes (`Point<D>` / `Rect<D>`) |
 //! | [`metrics`] | 8.1 | relative-error and rank-error measures |
@@ -64,16 +64,16 @@
 //! ```
 //!
 //! Fallible operations across the workspace report the unified
-//! [`DpsdError`]; detailed kinds ([`tree::BuildError`],
-//! [`tree::ReleaseError`]) ride inside it.
+//! [`DpsdError`]; detailed kinds such as [`tree::BuildError`] ride
+//! inside it.
 //!
 //! # Any dimension
 //!
 //! The whole stack is const-generic over the dimension `D` (default 2):
 //! `PsdConfig::<3>::kd_hybrid(domain, h, eps, switch)` builds a private
 //! kd-hybrid over 3-attribute records, queries run through the same
-//! [`SpatialSynopsis`] trait, and `release()` publishes a JSON synopsis
-//! that round-trips in any `D`. The [`geometry::Point2`] /
+//! [`SpatialSynopsis`] trait, and `release()` publishes a synopsis that
+//! round-trips through JSON or `dpsd-bin` in any `D`. The [`geometry::Point2`] /
 //! [`geometry::Rect2`] aliases and the planar constructors keep
 //! 2D call sites source-compatible; see the [`geometry`] module docs for
 //! migration notes.
@@ -90,7 +90,6 @@ pub mod linalg;
 pub mod mech;
 pub mod median;
 pub mod metrics;
-pub mod ndim;
 pub mod postprocess;
 pub mod query;
 pub mod rng;

@@ -41,18 +41,16 @@ use crate::tree::{first_index_at_depth, PsdTree};
 /// estimator is undetermined without leaf observations. Every built-in
 /// budget strategy releases leaves.
 pub fn ols_postprocess<const D: usize>(tree: &PsdTree<D>) -> Vec<f64> {
-    let eps = tree.eps_count_levels();
-    ols_over_columns(tree.fanout(), tree.height(), eps, &collect_noisy(tree))
+    ols_over_columns(
+        tree.fanout(),
+        tree.height(),
+        tree.eps_count_levels(),
+        &tree.noisy,
+    )
 }
 
-fn collect_noisy<const D: usize>(tree: &PsdTree<D>) -> Vec<f64> {
-    tree.node_ids()
-        .map(|v| tree.noisy_count(v).unwrap_or(0.0))
-        .collect()
-}
-
-/// The algorithm itself, operating on plain columns so both [`PsdTree`]
-/// and tests can call it.
+/// The algorithm itself, operating on plain columns so trees, the
+/// synopsis loaders, and tests can all call it.
 ///
 /// `y[v]` must be 0 for withheld nodes (their `eps` is 0, so the value is
 /// ignored either way). `eps_levels[0]` (leaves) must be positive.

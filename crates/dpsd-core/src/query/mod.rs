@@ -12,6 +12,11 @@
 //! noise). [`range_query_profiled`] additionally reports how many nodes
 //! contributed per level, which the tests compare against the Lemma 2
 //! bounds.
+//!
+//! These functions pick the count column a [`CountSource`] names —
+//! including the owner-only exact counts — and run the one query kernel
+//! in [`crate::flat`] over the tree's columns; published synopses run
+//! the same kernel on the `Auto` column.
 
 use crate::error::DpsdError;
 use crate::geometry::Rect;
@@ -79,12 +84,12 @@ pub fn range_query_with<const D: usize>(
     query: &Rect<D>,
     source: CountSource,
 ) -> f64 {
+    let counts = tree.column(source);
     assert!(
-        source != CountSource::Posted || tree.is_postprocessed(),
+        counts.is_some(),
         "Posted counts requested but OLS post-processing was never run"
     );
-    let (answer, _) = descend(tree, query, source, None);
-    answer
+    counts.map_or(0.0, |c| tree.answer(query, c))
 }
 
 /// Non-panicking variant of [`range_query_with`]: requesting
@@ -95,10 +100,10 @@ pub fn try_range_query_with<const D: usize>(
     query: &Rect<D>,
     source: CountSource,
 ) -> Result<f64, DpsdError> {
-    if source == CountSource::Posted && !tree.is_postprocessed() {
-        return Err(DpsdError::PostedUnavailable);
+    match tree.column(source) {
+        Some(c) => Ok(tree.answer(query, c)),
+        None => Err(DpsdError::PostedUnavailable),
     }
-    Ok(range_query_with(tree, query, source))
 }
 
 /// Answers every query of a workload with one shared traversal over the
@@ -111,13 +116,13 @@ pub fn range_query_batch<const D: usize>(tree: &PsdTree<D>, queries: &[Rect<D>])
 ///
 /// Returns exactly what `queries.iter().map(|q| range_query_with(tree,
 /// q, source)).collect()` would — same canonical node selection, same
-/// uniformity estimates — but descends the tree **once** for the whole
-/// batch: each node is visited at most one time, carrying only the
-/// queries still undecided for its subtree, and the per-node work
-/// (rectangle load, leaf test, count-column resolution) is paid once per
-/// node instead of once per query-node pair. Scratch frontiers are
-/// reused across sibling subtrees, so the traversal allocates `O(h)`
-/// vectors regardless of workload size.
+/// uniformity estimates, same bits — but descends the tree **once** for
+/// the whole batch: each node is visited at most one time, carrying only
+/// the queries still undecided for its subtree, and the per-node work
+/// (leaf test, count-column read) is paid once per node instead of once
+/// per query-node pair. Scratch frontiers are reused across sibling
+/// subtrees, so the traversal allocates `O(h)` vectors regardless of
+/// workload size.
 ///
 /// # Panics
 ///
@@ -128,157 +133,32 @@ pub fn range_query_batch_with<const D: usize>(
     queries: &[Rect<D>],
     source: CountSource,
 ) -> Vec<f64> {
+    let counts = tree.column(source);
     assert!(
-        source != CountSource::Posted || tree.is_postprocessed(),
+        counts.is_some(),
         "Posted counts requested but OLS post-processing was never run"
     );
-    let mut answers = vec![0.0f64; queries.len()];
-    if queries.is_empty() {
-        return answers;
-    }
-    let root_active: Vec<u32> = (0..queries.len() as u32).collect();
-    let mut pool: Vec<Vec<u32>> = Vec::new();
-    descend_batch(
-        tree,
-        tree.root(),
-        queries,
-        &root_active,
-        source,
-        &mut answers,
-        &mut pool,
-    );
-    answers
-}
-
-/// One node of the shared batch traversal: settles every active query
-/// this node can answer and forwards the rest to the children.
-fn descend_batch<const D: usize>(
-    tree: &PsdTree<D>,
-    v: usize,
-    queries: &[Rect<D>],
-    active: &[u32],
-    source: CountSource,
-    answers: &mut [f64],
-    pool: &mut Vec<Vec<u32>>,
-) {
-    let rect = tree.rect(v);
-    let leafish = tree.is_effective_leaf(v);
-    let count = tree.count(v, source);
-    let mut forwarded = pool.pop().unwrap_or_default();
-    for &qi in active {
-        let q = &queries[qi as usize];
-        if !rect.intersects(q) {
-            continue;
-        }
-        if rect.inside(q) {
-            // Maximally contained: settle here if the count was
-            // released, otherwise fall through to the children.
-            if let Some(c) = count {
-                answers[qi as usize] += c;
-                continue;
-            }
-            if leafish {
-                continue; // withheld effective leaf contributes nothing
-            }
-        } else if leafish {
-            // Partial effective leaf: uniformity assumption.
-            if let Some(c) = count {
-                let fraction = rect.overlap_fraction(q);
-                if fraction > 0.0 {
-                    answers[qi as usize] += c * fraction;
-                }
-            }
-            continue;
-        }
-        forwarded.push(qi);
-    }
-    if !forwarded.is_empty() {
-        for child in tree.children(v) {
-            descend_batch(tree, child, queries, &forwarded, source, answers, pool);
-        }
-    }
-    forwarded.clear();
-    pool.push(forwarded);
+    counts.map_or_else(Vec::new, |c| tree.answer_batch(queries, c))
 }
 
 /// Answers a range query and reports the contribution profile.
+/// [`CountSource::Posted`] on a tree that was never post-processed has
+/// no column to read: the answer is 0 and no node contributes.
 pub fn range_query_profiled<const D: usize>(
     tree: &PsdTree<D>,
     query: &Rect<D>,
     source: CountSource,
 ) -> (f64, QueryProfile) {
-    let mut profile = QueryProfile {
-        contained_per_level: vec![0; tree.height() + 1],
-        partial_leaves: 0,
-    };
-    let (answer, _) = descend(tree, query, source, Some(&mut profile));
-    (answer, profile)
-}
-
-/// Core recursion. Returns `(estimate, exact_count_available)`.
-///
-/// Contributions are added to a single accumulator in depth-first
-/// traversal order — the same order [`range_query_batch_with`] uses —
-/// so single and batched queries agree **bit-for-bit**, not just up to
-/// floating-point reassociation.
-fn descend<const D: usize>(
-    tree: &PsdTree<D>,
-    query: &Rect<D>,
-    source: CountSource,
-    mut profile: Option<&mut QueryProfile>,
-) -> (f64, bool) {
-    fn go<const D: usize>(
-        tree: &PsdTree<D>,
-        v: usize,
-        query: &Rect<D>,
-        source: CountSource,
-        acc: &mut f64,
-        profile: &mut Option<&mut QueryProfile>,
-    ) {
-        let rect = tree.rect(v);
-        if !rect.intersects(query) {
-            return;
-        }
-        let leafish = tree.is_effective_leaf(v);
-        if rect.inside(query) {
-            // Maximally contained: use this node's count if it was
-            // released; otherwise fall through to the children (the
-            // "increase the fanout" reading of withheld levels).
-            if let Some(c) = tree.count(v, source) {
-                if let Some(p) = profile.as_deref_mut() {
-                    p.contained_per_level[tree.level_of(v)] += 1;
-                }
-                *acc += c;
-                return;
-            }
-            if leafish {
-                // A withheld effective leaf can contribute nothing.
-                return;
-            }
-        } else if leafish {
-            // Partial leaf: uniformity assumption. Leaves that merely
-            // touch the query boundary (zero overlap) contribute nothing
-            // and are not profiled.
-            let Some(c) = tree.count(v, source) else {
-                return;
-            };
-            let fraction = rect.overlap_fraction(query);
-            if fraction <= 0.0 {
-                return;
-            }
-            if let Some(p) = profile.as_deref_mut() {
-                p.partial_leaves += 1;
-            }
-            *acc += c * fraction;
-            return;
-        }
-        for c in tree.children(v) {
-            go(tree, c, query, source, acc, profile);
-        }
+    match tree.column(source) {
+        Some(c) => tree.answer_profiled(query, c),
+        None => (
+            0.0,
+            QueryProfile {
+                contained_per_level: vec![0; tree.height() + 1],
+                partial_leaves: 0,
+            },
+        ),
     }
-    let mut est = 0.0;
-    go(tree, tree.root(), query, source, &mut est, &mut profile);
-    (est, true)
 }
 
 /// Exact number of data points inside `query`, counted from the tree's

@@ -586,7 +586,7 @@ impl<const D: usize> StreamIngestor<D> {
             fanout,
             h,
             self.config.domain,
-            self.rects.clone(),
+            &self.rects,
             true_counts,
             noisy,
             released,
@@ -605,7 +605,7 @@ impl<const D: usize> StreamIngestor<D> {
             points: self.total_points,
             window_start: self.window_start,
             debited: debit,
-            synopsis: tree.release(),
+            synopsis: tree.into_release(),
         };
         self.epoch += 1;
         self.advance_window();

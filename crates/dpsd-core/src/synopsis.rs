@@ -7,27 +7,24 @@
 //! evaluation harnesses, servers, and applications can hold any backend
 //! behind one interface and swap decompositions freely:
 //!
-//! * [`crate::tree::PsdTree`] — every planar family of the paper
-//!   (quadtree, kd-standard/hybrid/cell/noisy-mean/pure/true, Hilbert
-//!   R-tree);
+//! * [`crate::tree::PsdTree`] — every family of the paper (quadtree,
+//!   kd-standard/hybrid/cell/noisy-mean/pure/true, Hilbert R-tree), in
+//!   any dimension;
 //! * [`crate::tree::ReleasedSynopsis`] — a published, raw-data-free
-//!   synopsis loaded from JSON;
-//! * [`crate::ndim::NdTree`] — the deprecation shim around the
-//!   d-dimensional midpoint tree, in every `D`;
+//!   synopsis, loaded from JSON or `dpsd-bin` (and the serving arena);
 //! * `FlatGrid` and `ExactIndex` in `dpsd-baselines`.
 //!
 //! [`SpatialSynopsis::query_batch`] is a first-class operation, not a
 //! loop: tree-backed synopses answer a whole workload in **one shared
 //! traversal** that visits each node at most once and filters the set of
 //! still-active queries as it descends (see
-//! [`crate::query::range_query_batch`]). Per-node work — locating the
-//! rectangle, resolving which count column to read — is paid once per
-//! node instead of once per query-node pair, which is what makes batch
-//! evaluation measurably faster than repeated single queries and gives a
-//! natural unit for parallel sharding: [`ParallelQuery`] (implemented
-//! for every `Sync` synopsis) shards a workload across the
-//! [`crate::exec`] worker pool with answers guaranteed bit-identical to
-//! the sequential path.
+//! [`crate::query::range_query_batch`]). Per-node work — the leaf test,
+//! the count-column read — is paid once per node instead of once per
+//! query-node pair, which is what makes batch evaluation measurably
+//! faster than repeated single queries and gives a natural unit for
+//! parallel sharding: [`ParallelQuery`] (implemented for every `Sync`
+//! synopsis) shards a workload across the [`crate::exec`] worker pool
+//! with answers guaranteed bit-identical to the sequential path.
 
 use crate::exec::{self, Parallelism};
 use crate::geometry::Rect;
@@ -119,81 +116,57 @@ pub trait ParallelQuery<const D: usize = 2>: SpatialSynopsis<D> + Sync {
 
 impl<const D: usize, S: SpatialSynopsis<D> + Sync + ?Sized> ParallelQuery<D> for S {}
 
-impl<const D: usize> SpatialSynopsis<D> for crate::tree::PsdTree<D> {
-    fn query(&self, query: &Rect<D>) -> f64 {
-        crate::query::range_query(self, query)
-    }
-
-    fn query_batch(&self, queries: &[Rect<D>]) -> Vec<f64> {
-        crate::query::range_query_batch(self, queries)
-    }
-
-    fn query_profiled(&self, query: &Rect<D>) -> (f64, QueryProfile) {
-        crate::query::range_query_profiled(self, query, crate::tree::CountSource::Auto)
-    }
-
-    fn domain(&self) -> Rect<D> {
-        *crate::tree::PsdTree::domain(self)
-    }
-
-    fn epsilon(&self) -> f64 {
-        crate::tree::PsdTree::epsilon(self)
-    }
-
-    fn node_count(&self) -> usize {
-        crate::tree::PsdTree::node_count(self)
-    }
-}
-
 impl<const D: usize> SpatialSynopsis<D> for crate::tree::ReleasedSynopsis<D> {
     fn query(&self, query: &Rect<D>) -> f64 {
-        crate::query::range_query(self.as_tree(), query)
+        self.answer(query, self.auto_counts())
     }
 
     fn query_batch(&self, queries: &[Rect<D>]) -> Vec<f64> {
-        crate::query::range_query_batch(self.as_tree(), queries)
+        self.answer_batch(queries, self.auto_counts())
     }
 
     fn query_profiled(&self, query: &Rect<D>) -> (f64, QueryProfile) {
-        crate::query::range_query_profiled(self.as_tree(), query, crate::tree::CountSource::Auto)
+        self.answer_profiled(query, self.auto_counts())
     }
 
     fn domain(&self) -> Rect<D> {
-        *self.as_tree().domain()
+        self.domain
     }
 
     fn epsilon(&self) -> f64 {
-        self.as_tree().epsilon()
+        self.epsilon
     }
 
     fn node_count(&self) -> usize {
-        self.as_tree().node_count()
+        crate::tree::ReleasedSynopsis::node_count(self)
     }
 }
 
-impl<const D: usize> SpatialSynopsis<D> for crate::ndim::NdTree<D> {
+/// A tree answers through its release: the `Auto` column is the same
+/// on both.
+impl<const D: usize> SpatialSynopsis<D> for crate::tree::PsdTree<D> {
     fn query(&self, query: &Rect<D>) -> f64 {
-        self.range_query(query)
+        (**self).query(query)
     }
 
     fn query_batch(&self, queries: &[Rect<D>]) -> Vec<f64> {
-        crate::query::range_query_batch(self.as_tree(), queries)
+        (**self).query_batch(queries)
     }
 
     fn query_profiled(&self, query: &Rect<D>) -> (f64, QueryProfile) {
-        self.range_query_profiled(query)
+        (**self).query_profiled(query)
     }
 
     fn domain(&self) -> Rect<D> {
-        *crate::ndim::NdTree::domain(self)
+        self.domain
     }
 
     fn epsilon(&self) -> f64 {
-        crate::ndim::NdTree::epsilon(self)
+        self.epsilon
     }
 
     fn node_count(&self) -> usize {
-        crate::ndim::NdTree::node_count(self)
+        crate::tree::ReleasedSynopsis::node_count(self)
     }
 }
 

@@ -549,7 +549,7 @@ impl<const D: usize> PsdConfig<D> {
             fanout,
             h,
             self.domain,
-            rects,
+            &rects,
             true_counts,
             noisy,
             released,
@@ -894,7 +894,7 @@ mod tests {
             if tree.kind() != TreeKind::HilbertR {
                 for &c in &children {
                     assert!(
-                        tree.rect(c).inside(tree.rect(v)),
+                        tree.rect(c).inside(&tree.rect(v)),
                         "child {c} rect escapes parent {v}"
                     );
                 }
@@ -985,7 +985,7 @@ mod tests {
             for (j, c) in tree.children(v).enumerate() {
                 assert_eq!(
                     tree.rect(c),
-                    &tree.rect(v).orthant(j),
+                    tree.rect(v).orthant(j),
                     "child {j} of node {v}"
                 );
             }

@@ -338,7 +338,7 @@ mod tests {
             .unwrap();
         assert_eq!(tree.true_count(0), pts.len() as f64);
         // Root bbox covers the whole grid = whole domain.
-        assert_eq!(tree.rect(0), &domain());
+        assert_eq!(tree.rect(0), domain());
     }
 
     #[test]
@@ -374,7 +374,7 @@ mod tests {
                     continue; // empty-range sentinel rect
                 }
                 assert!(
-                    tree.rect(c).inside(tree.rect(v)),
+                    tree.rect(c).inside(&tree.rect(v)),
                     "child {c} {:?} escapes parent {v} {:?}",
                     tree.rect(c),
                     tree.rect(v)
@@ -424,7 +424,7 @@ mod tests {
             .unwrap();
         assert_eq!(tree.fanout(), 8);
         assert_eq!(tree.true_count(0), pts.len() as f64);
-        assert_eq!(tree.rect(0), &domain, "root bbox covers the whole grid");
+        assert_eq!(tree.rect(0), domain, "root bbox covers the whole grid");
         for v in tree.node_ids() {
             let children: Vec<usize> = tree.children(v).collect();
             if children.is_empty() {
@@ -445,7 +445,7 @@ mod tests {
             .build(&pts)
             .unwrap();
         assert_eq!(tree.true_count(0), pts.len() as f64);
-        assert_eq!(tree.rect(0), &domain());
+        assert_eq!(tree.rect(0), domain());
 
         let domain4 = Rect::from_corners([0.0; 4], [16.0; 4]).unwrap();
         let pts4: Vec<Point<4>> = (0..800)
@@ -470,7 +470,7 @@ mod tests {
                 .unwrap();
             assert_eq!(tree.fanout(), 16);
             assert_eq!(tree.true_count(0), pts4.len() as f64);
-            assert_eq!(tree.rect(0), &domain4);
+            assert_eq!(tree.rect(0), domain4);
         }
     }
 
@@ -494,7 +494,7 @@ mod tests {
                 if tree.rect(c).area() == 0.0 {
                     continue;
                 }
-                assert!(tree.rect(c).inside(tree.rect(v)), "child {c} escapes {v}");
+                assert!(tree.rect(c).inside(&tree.rect(v)), "child {c} escapes {v}");
             }
         }
     }

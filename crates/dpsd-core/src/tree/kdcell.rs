@@ -253,7 +253,7 @@ mod tests {
             let sum: f64 = children.iter().map(|&c| tree.true_count(c)).sum();
             assert_eq!(sum, tree.true_count(v));
             for &c in &children {
-                assert!(tree.rect(c).inside(tree.rect(v)));
+                assert!(tree.rect(c).inside(&tree.rect(v)));
             }
         }
     }
@@ -313,7 +313,7 @@ mod tests {
             let sum: f64 = children.iter().map(|&c| tree.true_count(c)).sum();
             assert_eq!(sum, tree.true_count(v), "node {v}");
             for &c in &children {
-                assert!(tree.rect(c).inside(tree.rect(v)));
+                assert!(tree.rect(c).inside(&tree.rect(v)));
             }
         }
     }

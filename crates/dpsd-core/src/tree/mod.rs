@@ -4,12 +4,15 @@
 //! `2^D`** over a `D`-dimensional domain (Section 6.2 flattens kd-trees
 //! to fanout 4 in the plane so every family is comparable; the same
 //! flattening performs one binary split per axis in any dimension)
-//! stored as a flat arena in breadth-first ("heap") order — node 0 is
-//! the root and the children of node `v` are `fv+1 ..= fv+f`. Per-node
-//! data lives in parallel columns (rectangles, true counts, noisy
-//! counts, post-processed counts), which keeps the linear-time OLS pass
-//! cache-friendly and allocation-free. The dimension defaults to 2, so
-//! `PsdTree` written bare is the planar tree of the paper.
+//! stored in breadth-first ("heap") order — node 0 is the root and the
+//! children of node `v` are `fv+1 ..= fv+f`. Per-node data lives in
+//! parallel columns — axis-major box minima and maxima, noisy counts,
+//! post-processed counts, release and cut flags — held by the
+//! publishable [`ReleasedSynopsis`], which is also the `dpsd-bin`
+//! layout and the arena the query kernel sweeps. A [`PsdTree`] is that
+//! synopsis plus the owner-only exact counts; it dereferences to it, so
+//! every structure accessor is defined once. The dimension defaults to
+//! 2, so `PsdTree` written bare is the planar tree of the paper.
 //!
 //! Levels follow the paper's convention: leaves are level 0, the root is
 //! level `h`.
@@ -31,15 +34,14 @@ mod build;
 mod hilbert_rtree;
 mod kdcell;
 pub mod prune;
-pub mod release;
 pub mod released;
 
 pub(crate) use build::apply_count_noise;
 pub use build::{BuildError, PsdConfig, TreeKind};
 pub use dpsd_hilbert::CurveKind;
-pub use release::{read_release, write_release, ReleaseError};
 pub use released::ReleasedSynopsis;
 
+use crate::flat::Counts;
 use crate::geometry::Rect;
 
 /// Which per-node count column a query should read.
@@ -59,25 +61,23 @@ pub enum CountSource {
 /// A built private spatial decomposition over a `D`-dimensional domain
 /// (`D = 2` when elided).
 ///
-/// The *private release* consists of: the tree kind and height, the node
-/// rectangles, the noisy counts of released levels, and (derived from
-/// those) the post-processed counts. The exact counts are retained so
-/// experiments can measure error, but they are not part of the release.
+/// The *private release* — kind, height, node boxes, the noisy counts of
+/// released levels and (derived from those) the post-processed counts —
+/// is the [`ReleasedSynopsis`] this tree dereferences to. The exact
+/// counts are retained next to it so experiments can measure error, but
+/// they are not part of the release.
 #[derive(Debug, Clone)]
 pub struct PsdTree<const D: usize = 2> {
-    kind: TreeKind,
-    fanout: usize,
-    height: usize,
-    domain: Rect<D>,
-    rects: Vec<Rect<D>>,
+    synopsis: ReleasedSynopsis<D>,
     true_counts: Vec<f64>,
-    noisy: Vec<f64>,
-    released: Vec<bool>,
-    posted: Option<Vec<f64>>,
-    cut: Vec<bool>,
-    eps_count: Vec<f64>,
-    eps_median: Vec<f64>,
-    epsilon: f64,
+}
+
+impl<const D: usize> std::ops::Deref for PsdTree<D> {
+    type Target = ReleasedSynopsis<D>;
+
+    fn deref(&self) -> &ReleasedSynopsis<D> {
+        &self.synopsis
+    }
 }
 
 /// Number of nodes in a complete tree of the given fanout and height.
@@ -116,15 +116,16 @@ pub fn first_index_at_depth(fanout: usize, depth: usize) -> usize {
 }
 
 impl<const D: usize> PsdTree<D> {
-    /// Creates a tree shell from structure columns. Used by the builders
-    /// in this module; not part of the public construction API.
+    /// Creates a tree from the builders' per-node columns, transposing
+    /// the boxes once into the axis-major arena layout. Not part of the
+    /// public construction API.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_columns(
         kind: TreeKind,
         fanout: usize,
         height: usize,
         domain: Rect<D>,
-        rects: Vec<Rect<D>>,
+        rects: &[Rect<D>],
         true_counts: Vec<f64>,
         noisy: Vec<f64>,
         released: Vec<bool>,
@@ -137,119 +138,36 @@ impl<const D: usize> PsdTree<D> {
         debug_assert_eq!(true_counts.len(), m);
         debug_assert_eq!(noisy.len(), m);
         debug_assert_eq!(released.len(), m);
+        debug_assert!(
+            noisy.iter().zip(&released).all(|(c, &r)| r || *c == 0.0),
+            "withheld counts must read as zero"
+        );
+        let mut mins = vec![0.0; D * m];
+        let mut maxs = vec![0.0; D * m];
+        for (v, r) in rects.iter().enumerate() {
+            for k in 0..D {
+                mins[k * m + v] = r.min[k];
+                maxs[k * m + v] = r.max[k];
+            }
+        }
         PsdTree {
-            kind,
-            fanout,
-            height,
-            domain,
-            rects,
+            synopsis: ReleasedSynopsis {
+                kind,
+                fanout,
+                height,
+                domain,
+                epsilon,
+                eps_count,
+                eps_median,
+                mins,
+                maxs,
+                noisy,
+                released,
+                posted: None,
+                cut: vec![false; m],
+            },
             true_counts,
-            noisy,
-            released,
-            posted: None,
-            cut: vec![false; m],
-            eps_count,
-            eps_median,
-            epsilon,
         }
-    }
-
-    /// The family this tree belongs to.
-    pub fn kind(&self) -> TreeKind {
-        self.kind
-    }
-
-    /// Fanout `f = 2^D` (4 for every planar family).
-    pub fn fanout(&self) -> usize {
-        self.fanout
-    }
-
-    /// Height `h` (leaves at level 0, root at level `h`).
-    pub fn height(&self) -> usize {
-        self.height
-    }
-
-    /// The data domain the decomposition covers.
-    pub fn domain(&self) -> &Rect<D> {
-        &self.domain
-    }
-
-    /// Total privacy budget the release was built with.
-    pub fn epsilon(&self) -> f64 {
-        self.epsilon
-    }
-
-    /// Per-level count budgets (index 0 = leaves).
-    pub fn eps_count_levels(&self) -> &[f64] {
-        &self.eps_count
-    }
-
-    /// Per-level median budgets (index 0 = leaves, always 0 there).
-    pub fn eps_median_levels(&self) -> &[f64] {
-        &self.eps_median
-    }
-
-    /// Number of nodes in the (complete) tree.
-    pub fn node_count(&self) -> usize {
-        self.rects.len()
-    }
-
-    /// The root node id.
-    pub fn root(&self) -> usize {
-        0
-    }
-
-    /// Child node ids of `v` (empty iterator for leaves).
-    pub fn children(&self, v: usize) -> std::ops::Range<usize> {
-        if self.is_leaf_depthwise(v) {
-            0..0
-        } else {
-            let first = self.fanout * v + 1;
-            first..first + self.fanout
-        }
-    }
-
-    /// Parent of `v`, or `None` for the root.
-    pub fn parent(&self, v: usize) -> Option<usize> {
-        if v == 0 {
-            None
-        } else {
-            Some((v - 1) / self.fanout)
-        }
-    }
-
-    /// Depth of node `v` (root = 0).
-    pub fn depth_of(&self, v: usize) -> usize {
-        let mut depth = 0;
-        let mut first = 0usize; // first index at this depth
-        let mut width = 1usize;
-        while v >= first + width {
-            first += width;
-            width *= self.fanout;
-            depth += 1;
-        }
-        depth
-    }
-
-    /// Level of node `v` in the paper's convention (leaves 0, root `h`).
-    pub fn level_of(&self, v: usize) -> usize {
-        self.height - self.depth_of(v)
-    }
-
-    /// Whether `v` sits at the bottom of the complete tree.
-    fn is_leaf_depthwise(&self, v: usize) -> bool {
-        self.height == 0 || v >= first_index_at_depth(self.fanout, self.height)
-    }
-
-    /// Whether queries should treat `v` as a leaf: either it is at the
-    /// bottom level or pruning cut the tree here.
-    pub fn is_effective_leaf(&self, v: usize) -> bool {
-        self.is_leaf_depthwise(v) || self.cut[v]
-    }
-
-    /// The spatial cell of node `v`.
-    pub fn rect(&self, v: usize) -> &Rect<D> {
-        &self.rects[v]
     }
 
     /// Exact number of points in node `v` — **not part of the private
@@ -258,32 +176,23 @@ impl<const D: usize> PsdTree<D> {
         self.true_counts[v]
     }
 
-    /// The released noisy count of `v`, or `None` if the level's budget
-    /// was zero (count withheld).
-    pub fn noisy_count(&self, v: usize) -> Option<f64> {
-        self.released[v].then(|| self.noisy[v])
-    }
-
-    /// The post-processed count of `v`, if OLS has been run.
-    pub fn posted_count(&self, v: usize) -> Option<f64> {
-        self.posted.as_ref().map(|p| p[v])
+    /// The count column `source` reads, with the release mask guarding
+    /// it; `None` only for [`CountSource::Posted`] before
+    /// post-processing.
+    pub(crate) fn column(&self, source: CountSource) -> Option<Counts<'_>> {
+        match source {
+            CountSource::Auto => Some(self.synopsis.auto_counts()),
+            CountSource::Noisy => Some(self.synopsis.noisy_counts()),
+            CountSource::Posted => self.synopsis.posted.as_deref().map(Counts::dense),
+            CountSource::True => Some(Counts::dense(&self.true_counts)),
+        }
     }
 
     /// Reads the count of `v` from the chosen source. Returns `None` only
     /// for `Noisy` reads of withheld levels and `Posted` reads before
     /// post-processing.
     pub fn count(&self, v: usize, source: CountSource) -> Option<f64> {
-        match source {
-            CountSource::Auto => self.posted_count(v).or_else(|| self.noisy_count(v)),
-            CountSource::Noisy => self.noisy_count(v),
-            CountSource::Posted => self.posted_count(v),
-            CountSource::True => Some(self.true_counts[v]),
-        }
-    }
-
-    /// Whether OLS post-processing has been applied.
-    pub fn is_postprocessed(&self) -> bool {
-        self.posted.is_some()
+        self.column(source)?.get(v)
     }
 
     /// Installs post-processed counts (used by [`crate::postprocess`]).
@@ -293,24 +202,14 @@ impl<const D: usize> PsdTree<D> {
             self.node_count(),
             "posted column length mismatch"
         );
-        self.posted = Some(beta);
+        self.synopsis.posted = Some(beta);
     }
 
     /// Marks node `v` as a cut point: its descendants are disabled and
     /// queries treat it as a leaf (Section 7 pruning).
     pub fn mark_cut(&mut self, v: usize) {
         assert!(v < self.node_count(), "node {v} out of range");
-        self.cut[v] = true;
-    }
-
-    /// Whether `v` is a pruning cut point.
-    pub fn is_cut(&self, v: usize) -> bool {
-        self.cut[v]
-    }
-
-    /// Iterator over all node ids in breadth-first order.
-    pub fn node_ids(&self) -> std::ops::Range<usize> {
-        0..self.node_count()
+        self.synopsis.cut[v] = true;
     }
 
     /// Total number of data points (exact root count).
@@ -318,11 +217,15 @@ impl<const D: usize> PsdTree<D> {
         self.true_counts[0]
     }
 
-    /// Exports the publishable part of this tree as a
-    /// [`ReleasedSynopsis`] (shorthand for
-    /// [`ReleasedSynopsis::from_tree`]).
+    /// Exports the publishable part of this tree: a copy of its
+    /// [`ReleasedSynopsis`], without the exact counts.
     pub fn release(&self) -> ReleasedSynopsis<D> {
-        ReleasedSynopsis::from_tree(self)
+        self.synopsis.clone()
+    }
+
+    /// Consumes the tree, keeping only the publishable part (no copy).
+    pub(crate) fn into_release(self) -> ReleasedSynopsis<D> {
+        self.synopsis
     }
 }
 
@@ -348,7 +251,7 @@ mod tests {
             4,
             height,
             domain,
-            vec![domain; m],
+            &vec![domain; m],
             vec![0.0; m],
             vec![0.0; m],
             vec![true; m],

@@ -1,22 +1,32 @@
-//! The publishable synopsis artifact.
+//! The publishable synopsis — and the one node store every query runs
+//! on.
 //!
 //! [`ReleasedSynopsis`] is the privacy boundary of the workspace as a
-//! *type*: a raw-data-free export of a built [`PsdTree`] — node
-//! rectangles, released noisy counts, per-level budgets, pruning cuts —
-//! that serializes to JSON, round-trips exactly, and answers queries
-//! **identically** to the tree it was exported from. A data owner builds
-//! a tree once, publishes `to_json()`, and any number of query servers
-//! load it with [`ReleasedSynopsis::from_json`] and serve range counts
-//! through [`SpatialSynopsis`](crate::synopsis::SpatialSynopsis) without
-//! ever seeing a raw coordinate.
+//! *type*: the raw-data-free part of a built [`PsdTree`] — node boxes,
+//! released noisy counts, per-level budgets, pruning cuts — that
+//! serializes to JSON or `dpsd-bin/v1`, round-trips exactly, and
+//! answers queries **identically** to the tree it came from. A data
+//! owner builds a tree once, publishes it, and any number of query
+//! servers load it with [`ReleasedSynopsis::from_json`] or
+//! [`ReleasedSynopsis::from_bytes`] and serve range counts through
+//! [`SpatialSynopsis`](crate::synopsis::SpatialSynopsis) without ever
+//! seeing a raw coordinate.
+//!
+//! It is also the serving arena. The complete tree is stored in heap
+//! order as structure-of-arrays columns laid out exactly like the
+//! `dpsd-bin/v1` wire format ([`crate::flat`]): axis-major node minima
+//! and maxima (`mins[k * n + v]`), the noisy counts, the release and
+//! pruning-cut bitmaps, and the OLS column when post-processed. A
+//! [`PsdTree`] owns one of these plus the exact counts, so publishing
+//! is a copy and a binary load moves the wire columns into place.
 //!
 //! Two deliberate exclusions keep the artifact safe and minimal:
 //!
-//! * **Exact counts never leave the owner.** The export zeroes them; a
-//!   loaded synopsis reports `true_count = 0` everywhere.
+//! * **Exact counts never leave the owner.** The type has no
+//!   exact-count column at all.
 //! * **Post-processed counts are never serialized.** OLS is a
 //!   deterministic function of the released noisy counts (paper
-//!   Section 5), so the loader recomputes it bit-for-bit; a malformed
+//!   Section 5), so the loaders recompute it bit-for-bit; a malformed
 //!   file cannot smuggle in inconsistent "post-processed" values.
 //!
 //! ```
@@ -31,19 +41,22 @@
 //! let tree = PsdConfig::quadtree(domain, 3, 0.5).with_seed(3).build(&pts).unwrap();
 //!
 //! // Owner side: export.
-//! let published = ReleasedSynopsis::from_tree(&tree).to_json();
+//! let published = tree.release().to_json();
 //!
 //! // Server side: load and answer, identically to the source tree.
 //! let synopsis = ReleasedSynopsis::from_json(&published).unwrap();
 //! let q = Rect::new(2.0, 3.0, 11.0, 9.0).unwrap();
 //! assert_eq!(synopsis.query(&q), tree.query(&q));
-//! assert_eq!(synopsis.as_tree().true_count(0), 0.0); // raw data stayed home
+//! // Exact counts stayed home: the synopsis has no column for them.
+//! assert_eq!(tree.true_count(0), 300.0);
 //! ```
+//!
+//! [`PsdTree`]: crate::tree::PsdTree
 
 use crate::error::DpsdError;
 use crate::geometry::Rect;
-use crate::tree::release::{kind_from_tag, kind_tag};
-use crate::tree::{complete_tree_nodes_checked, PsdTree};
+use crate::postprocess::ols_over_columns;
+use crate::tree::{complete_tree_nodes_checked, first_index_at_depth, TreeKind};
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 
 /// Format tag written into every serialized synopsis.
@@ -56,71 +69,199 @@ pub const VERSION: u64 = 1;
 /// same limit).
 pub(crate) const MAX_NODES: usize = 120_000_000;
 
-/// A published, raw-data-free spatial synopsis.
+/// A published, raw-data-free spatial synopsis: the complete tree as
+/// `dpsd-bin` columns (see the module docs).
 ///
-/// Internally this holds a query-ready [`PsdTree`] whose exact-count
-/// column is zeroed; construction (either from a tree or from JSON)
-/// re-establishes every invariant, so queries are infallible.
+/// Every constructor — [`PsdTree::release`], the JSON and binary
+/// loaders — establishes the column invariants (complete-tree length,
+/// valid boxes, finite counts, `0.0` where withheld), so queries are
+/// infallible.
+///
+/// [`PsdTree::release`]: crate::tree::PsdTree::release
 #[derive(Debug, Clone)]
 pub struct ReleasedSynopsis<const D: usize = 2> {
-    tree: PsdTree<D>,
+    pub(crate) kind: TreeKind,
+    pub(crate) fanout: usize,
+    pub(crate) height: usize,
+    pub(crate) domain: Rect<D>,
+    pub(crate) epsilon: f64,
+    pub(crate) eps_count: Vec<f64>,
+    pub(crate) eps_median: Vec<f64>,
+    /// Axis-major node minima: `mins[k * n + v]` is node `v`'s lower
+    /// bound on axis `k`. Keeping each axis contiguous is what lets the
+    /// batch sweep autovectorize.
+    pub(crate) mins: Vec<f64>,
+    /// Axis-major node maxima, laid out like `mins`.
+    pub(crate) maxs: Vec<f64>,
+    /// Released noisy counts, `0.0` where the level was withheld.
+    pub(crate) noisy: Vec<f64>,
+    /// Whether each node's noisy count was released.
+    pub(crate) released: Vec<bool>,
+    /// OLS-post-processed counts, when the source was post-processed.
+    pub(crate) posted: Option<Vec<f64>>,
+    /// Pruning cut points (Section 7): effective leaves.
+    pub(crate) cut: Vec<bool>,
 }
 
 impl<const D: usize> ReleasedSynopsis<D> {
-    /// Exports the public part of a built tree: kind, geometry, budgets,
-    /// released noisy counts, pruning cuts. Exact counts are dropped;
-    /// post-processed counts carry over (they are derived from released
-    /// values only).
-    pub fn from_tree(source: &PsdTree<D>) -> Self {
-        let m = source.node_count();
-        let mut tree = PsdTree::from_columns(
-            source.kind(),
-            source.fanout(),
-            source.height(),
-            *source.domain(),
-            source.node_ids().map(|v| *source.rect(v)).collect(),
-            vec![0.0; m],
-            source
-                .node_ids()
-                .map(|v| source.noisy_count(v).unwrap_or(0.0))
-                .collect(),
-            source
-                .node_ids()
-                .map(|v| source.noisy_count(v).is_some())
-                .collect(),
-            source.eps_count_levels().to_vec(),
-            source.eps_median_levels().to_vec(),
-            source.epsilon(),
-        );
-        if source.is_postprocessed() {
-            tree.set_posted(
-                source
-                    .node_ids()
-                    .map(|v| {
-                        source
-                            .posted_count(v)
-                            // dpsd-allow(no-panic-in-lib): this branch runs only when has_posted() was true, and posted vectors cover every node id
-                            .expect("postprocessed tree has posted counts")
-                    })
-                    .collect(),
-            );
-        }
-        for v in source.node_ids() {
-            if source.is_cut(v) {
-                tree.mark_cut(v);
-            }
-        }
-        ReleasedSynopsis { tree }
+    /// A copy of `synopsis`, under the constructor name serving code
+    /// uses through [`FlatSynopsis`](crate::flat::FlatSynopsis).
+    pub fn from_released(synopsis: &ReleasedSynopsis<D>) -> Self {
+        synopsis.clone()
     }
 
-    /// The query engine behind this synopsis. Exact counts are zero.
-    pub fn as_tree(&self) -> &PsdTree<D> {
-        &self.tree
+    /// Installs the OLS column recomputed from the released counts
+    /// (loaders call this when the artifact says its source was
+    /// post-processed).
+    pub(crate) fn with_ols(mut self) -> Self {
+        self.posted = Some(ols_over_columns(
+            self.fanout,
+            self.height,
+            &self.eps_count,
+            &self.noisy,
+        ));
+        self
     }
 
-    /// Consumes the synopsis, yielding the query-ready tree.
-    pub fn into_tree(self) -> PsdTree<D> {
-        self.tree
+    /// The family this synopsis belongs to.
+    pub fn kind(&self) -> TreeKind {
+        self.kind
+    }
+
+    /// Fanout `f = 2^D` (4 for every planar family).
+    pub fn fanout(&self) -> usize {
+        self.fanout
+    }
+
+    /// Height `h` (leaves at level 0, root at level `h`).
+    pub fn height(&self) -> usize {
+        self.height
+    }
+
+    /// The data domain the decomposition covers.
+    pub fn domain(&self) -> Rect<D> {
+        self.domain
+    }
+
+    /// Total privacy budget the release was built with.
+    pub fn epsilon(&self) -> f64 {
+        self.epsilon
+    }
+
+    /// Per-level count budgets (index 0 = leaves).
+    pub fn eps_count_levels(&self) -> &[f64] {
+        &self.eps_count
+    }
+
+    /// Per-level median budgets (index 0 = leaves, always 0 there).
+    pub fn eps_median_levels(&self) -> &[f64] {
+        &self.eps_median
+    }
+
+    /// Number of nodes in the (complete) tree.
+    pub fn node_count(&self) -> usize {
+        self.noisy.len()
+    }
+
+    /// The root node id.
+    pub fn root(&self) -> usize {
+        0
+    }
+
+    /// Child node ids of `v` (empty iterator for leaves).
+    pub fn children(&self, v: usize) -> std::ops::Range<usize> {
+        if v >= self.leaf_first() {
+            0..0
+        } else {
+            let first = self.fanout * v + 1;
+            first..first + self.fanout
+        }
+    }
+
+    /// Parent of `v`, or `None` for the root.
+    pub fn parent(&self, v: usize) -> Option<usize> {
+        if v == 0 {
+            None
+        } else {
+            Some((v - 1) / self.fanout)
+        }
+    }
+
+    /// Depth of node `v` (root = 0).
+    pub fn depth_of(&self, v: usize) -> usize {
+        let mut depth = 0;
+        let mut first = 0usize; // first index at this depth
+        let mut width = 1usize;
+        while v >= first + width {
+            first += width;
+            width *= self.fanout;
+            depth += 1;
+        }
+        depth
+    }
+
+    /// Level of node `v` in the paper's convention (leaves 0, root `h`).
+    pub fn level_of(&self, v: usize) -> usize {
+        self.height - self.depth_of(v)
+    }
+
+    /// First node of the bottom level: every node from here on is a
+    /// leaf of the complete tree (the root alone at height 0).
+    pub(crate) fn leaf_first(&self) -> usize {
+        first_index_at_depth(self.fanout, self.height)
+    }
+
+    /// Whether queries should treat `v` as a leaf: either it is at the
+    /// bottom level or pruning cut the tree here.
+    pub fn is_effective_leaf(&self, v: usize) -> bool {
+        v >= self.leaf_first() || self.cut[v]
+    }
+
+    /// The spatial cell of node `v`, read off the columns.
+    #[inline]
+    pub fn rect(&self, v: usize) -> Rect<D> {
+        let n = self.node_count();
+        let mut min = [0.0; D];
+        let mut max = [0.0; D];
+        for k in 0..D {
+            min[k] = self.mins[k * n + v];
+            max[k] = self.maxs[k * n + v];
+        }
+        Rect { min, max }
+    }
+
+    /// The released noisy count of `v`, or `None` if the level's budget
+    /// was zero (count withheld).
+    pub fn noisy_count(&self, v: usize) -> Option<f64> {
+        self.released[v].then(|| self.noisy[v])
+    }
+
+    /// The post-processed count of `v`, if OLS has been run.
+    pub fn posted_count(&self, v: usize) -> Option<f64> {
+        self.posted.as_ref().map(|p| p[v])
+    }
+
+    /// Whether OLS post-processing has been applied.
+    pub fn is_postprocessed(&self) -> bool {
+        self.posted.is_some()
+    }
+
+    /// Whether `v` is a pruning cut point.
+    pub fn is_cut(&self, v: usize) -> bool {
+        self.cut[v]
+    }
+
+    /// Iterator over all node ids in breadth-first order.
+    pub fn node_ids(&self) -> std::ops::Range<usize> {
+        0..self.node_count()
+    }
+
+    /// Resident size of the node columns in bytes — what the load-time
+    /// benches report as `resident_bytes`.
+    pub fn resident_bytes(&self) -> usize {
+        let n = self.node_count();
+        let posted = self.posted.as_ref().map_or(0, Vec::len);
+        8 * (self.mins.len() + self.maxs.len() + n + posted) + self.released.len() + self.cut.len()
     }
 
     /// Serializes to compact JSON.
@@ -155,47 +296,34 @@ impl<const D: usize> ReleasedSynopsis<D> {
     pub fn from_json_str(text: &str) -> Result<Self, DpsdError> {
         Self::from_json(text)
     }
+}
 
-    /// Loads the line-oriented **text** release format (the
-    /// [`write_release`](crate::tree::write_release) output) into a
-    /// query-ready synopsis, delegating to
-    /// [`read_release`](crate::tree::read_release). Both published
-    /// formats — JSON and text — thus load through `ReleasedSynopsis`
-    /// constructors; no free-function detour is needed.
-    pub fn from_release_text(text: &str) -> Result<Self, DpsdError> {
-        let tree = crate::tree::release::read_release::<D, _>(text.as_bytes())?;
-        Ok(ReleasedSynopsis::from_tree(&tree))
+/// Stable JSON `kind` tag of each tree family.
+pub(crate) fn kind_tag(kind: TreeKind) -> &'static str {
+    match kind {
+        TreeKind::Quadtree => "quadtree",
+        TreeKind::KdStandard => "kd-standard",
+        TreeKind::KdHybrid => "kd-hybrid",
+        TreeKind::KdCell => "kd-cell",
+        TreeKind::KdNoisyMean => "kd-noisymean",
+        TreeKind::KdPure => "kd-pure",
+        TreeKind::KdTrue => "kd-true",
+        TreeKind::HilbertR => "hilbert-r",
     }
+}
 
-    /// Serializes to the `dpsd-bin/v1` flat binary format — the
-    /// compact, checksummed, bit-exact carrier for serving at scale
-    /// (layout and trade-offs in the [`crate::flat`] module docs).
-    pub fn to_flat_bytes(&self) -> Vec<u8> {
-        crate::flat::encode(self)
-    }
-
-    /// Parses and fully validates a `dpsd-bin/v1` artifact (the
-    /// [`to_flat_bytes`](ReleasedSynopsis::to_flat_bytes) output) into a
-    /// query-ready synopsis. Validation mirrors the JSON loader —
-    /// checksum, shape, finiteness, node cap — and post-processing is
-    /// recomputed from the released counts, so answers match the source
-    /// tree bit-for-bit.
-    pub fn from_flat_bytes(bytes: &[u8]) -> Result<Self, DpsdError> {
-        Ok(ReleasedSynopsis {
-            tree: crate::flat::decode_tree::<D>(bytes)?,
-        })
-    }
-
-    /// Serializes to the line-oriented text release format, delegating
-    /// to [`write_release`](crate::tree::write_release).
-    pub fn to_release_text(&self) -> String {
-        let mut buf = Vec::new();
-        crate::tree::release::write_release(&self.tree, &mut buf)
-            // dpsd-allow(no-panic-in-lib): Write on Vec<u8> is infallible; the io::Result is an artifact of the generic writer signature
-            .expect("writing to a Vec cannot fail");
-        // dpsd-allow(no-panic-in-lib): write_release emits only ASCII
-        String::from_utf8(buf).expect("release text is UTF-8")
-    }
+pub(crate) fn kind_from_tag(tag: &str) -> Option<TreeKind> {
+    Some(match tag {
+        "quadtree" => TreeKind::Quadtree,
+        "kd-standard" => TreeKind::KdStandard,
+        "kd-hybrid" => TreeKind::KdHybrid,
+        "kd-cell" => TreeKind::KdCell,
+        "kd-noisymean" => TreeKind::KdNoisyMean,
+        "kd-pure" => TreeKind::KdPure,
+        "kd-true" => TreeKind::KdTrue,
+        "hilbert-r" => TreeKind::HilbertR,
+        _ => return None,
+    })
 }
 
 /// Flattens a box into the wire layout: all minima, then all maxima.
@@ -207,13 +335,12 @@ fn box_to_wire<const D: usize>(r: &Rect<D>) -> Vec<f64> {
 
 impl<const D: usize> Serialize for ReleasedSynopsis<D> {
     fn serialize(&self) -> Value {
-        let t = &self.tree;
-        let nodes: Vec<Value> = t
+        let nodes: Vec<Value> = self
             .node_ids()
             .map(|v| {
-                let mut node = vec![("rect".to_string(), box_to_wire(t.rect(v)).serialize())];
-                node.push(("count".to_string(), t.noisy_count(v).serialize()));
-                if t.is_cut(v) {
+                let mut node = vec![("rect".to_string(), box_to_wire(&self.rect(v)).serialize())];
+                node.push(("count".to_string(), self.noisy_count(v).serialize()));
+                if self.is_cut(v) {
                     node.push(("cut".to_string(), true.serialize()));
                 }
                 Value::Object(node)
@@ -222,23 +349,17 @@ impl<const D: usize> Serialize for ReleasedSynopsis<D> {
         Value::Object(vec![
             ("format".to_string(), FORMAT.serialize()),
             ("version".to_string(), VERSION.serialize()),
-            ("kind".to_string(), kind_tag(t.kind()).serialize()),
-            ("fanout".to_string(), t.fanout().serialize()),
+            ("kind".to_string(), kind_tag(self.kind).serialize()),
+            ("fanout".to_string(), self.fanout.serialize()),
             ("dims".to_string(), D.serialize()),
-            ("height".to_string(), t.height().serialize()),
-            ("domain".to_string(), box_to_wire(t.domain()).serialize()),
-            ("epsilon".to_string(), t.epsilon().serialize()),
-            (
-                "eps_count".to_string(),
-                t.eps_count_levels().to_vec().serialize(),
-            ),
-            (
-                "eps_median".to_string(),
-                t.eps_median_levels().to_vec().serialize(),
-            ),
+            ("height".to_string(), self.height.serialize()),
+            ("domain".to_string(), box_to_wire(&self.domain).serialize()),
+            ("epsilon".to_string(), self.epsilon.serialize()),
+            ("eps_count".to_string(), self.eps_count.serialize()),
+            ("eps_median".to_string(), self.eps_median.serialize()),
             (
                 "postprocessed".to_string(),
-                t.is_postprocessed().serialize(),
+                self.is_postprocessed().serialize(),
             ),
             ("nodes".to_string(), Value::Array(nodes)),
         ])
@@ -343,12 +464,17 @@ impl<const D: usize> Deserialize for ReleasedSynopsis<D> {
                 node_values.len()
             )));
         }
-        let mut rects = Vec::with_capacity(m);
+        let mut mins = vec![0.0f64; D * m];
+        let mut maxs = vec![0.0f64; D * m];
         let mut noisy = vec![0.0f64; m];
         let mut released = vec![false; m];
-        let mut cuts = Vec::new();
+        let mut cut = vec![false; m];
         for (v, node) in node_values.iter().enumerate() {
-            rects.push(rect_from(field(node, "rect")?, "node rect")?);
+            let r = rect_from::<D>(field(node, "rect")?, "node rect")?;
+            for k in 0..D {
+                mins[k * m + v] = r.min[k];
+                maxs[k * m + v] = r.max[k];
+            }
             match Option::<f64>::deserialize(field(node, "count")?)? {
                 Some(c) if c.is_finite() => {
                     noisy[v] = c;
@@ -357,42 +483,39 @@ impl<const D: usize> Deserialize for ReleasedSynopsis<D> {
                 Some(_) => return Err(SerdeError::msg("node count must be finite")),
                 None => {}
             }
-            if let Some(cut) = node.get("cut") {
-                if bool::deserialize(cut)? {
-                    cuts.push(v);
-                }
+            if let Some(flag) = node.get("cut") {
+                cut[v] = bool::deserialize(flag)?;
             }
         }
         // OLS recomputation requires released leaf counts specifically
-        // (same guard as the text-format loader) — a crafted artifact
-        // with `postprocessed: true` but a zero leaf budget must be a
-        // typed error, not a downstream panic.
+        // (same guard as the binary loader) — a crafted artifact with
+        // `postprocessed: true` but a zero leaf budget must be a typed
+        // error, not a downstream panic.
         if postprocessed && eps_count[0] <= 0.0 {
             return Err(SerdeError::msg(
                 "postprocessed synopsis must carry leaf-level count budget",
             ));
         }
-        let mut tree = PsdTree::from_columns(
+        let synopsis = ReleasedSynopsis {
             kind,
             fanout,
             height,
             domain,
-            rects,
-            vec![0.0; m], // exact counts were never published
-            noisy,
-            released,
+            epsilon,
             eps_count,
             eps_median,
-            epsilon,
-        );
-        if postprocessed {
-            let beta = crate::postprocess::ols_postprocess(&tree);
-            tree.set_posted(beta);
-        }
-        for v in cuts {
-            tree.mark_cut(v);
-        }
-        Ok(ReleasedSynopsis { tree })
+            mins,
+            maxs,
+            noisy,
+            released,
+            posted: None,
+            cut,
+        };
+        Ok(if postprocessed {
+            synopsis.with_ols()
+        } else {
+            synopsis
+        })
     }
 }
 
@@ -449,9 +572,9 @@ mod tests {
         let queries = workload(&domain, 200);
         for config in configs {
             let tree = config.with_seed(21).build(&pts).unwrap();
-            let json = ReleasedSynopsis::from_tree(&tree).to_json();
+            let json = tree.release().to_json();
             let loaded: ReleasedSynopsis = ReleasedSynopsis::from_json(&json).unwrap();
-            assert_eq!(loaded.as_tree().kind(), tree.kind());
+            assert_eq!(loaded.kind(), tree.kind());
             for q in &queries {
                 assert_eq!(
                     loaded.query(q),
@@ -474,12 +597,9 @@ mod tests {
             .build(&pts)
             .unwrap();
         assert_eq!(tree.true_count(0), pts.len() as f64);
-        let synopsis = ReleasedSynopsis::from_tree(&tree);
-        for v in synopsis.as_tree().node_ids() {
-            assert_eq!(synopsis.as_tree().true_count(v), 0.0);
-        }
-        // And the wire text never carries the exact total.
-        let json = synopsis.to_json();
+        // The release carries no exact-count column, and the wire text
+        // never carries the exact total.
+        let json = tree.release().to_json();
         assert!(
             !json.contains(&format!("{}.0", pts.len())),
             "exact count leaked"
@@ -501,12 +621,8 @@ mod tests {
         let loaded: ReleasedSynopsis =
             ReleasedSynopsis::from_json(&tree.release().to_json()).unwrap();
         for v in tree.node_ids() {
-            assert_eq!(loaded.as_tree().is_cut(v), tree.is_cut(v), "cut {v}");
-            assert_eq!(
-                loaded.as_tree().noisy_count(v),
-                tree.noisy_count(v),
-                "count {v}"
-            );
+            assert_eq!(loaded.is_cut(v), tree.is_cut(v), "cut {v}");
+            assert_eq!(loaded.noisy_count(v), tree.noisy_count(v), "count {v}");
         }
 
         let leafy = PsdConfig::quadtree(domain, 2, 0.5)
@@ -517,12 +633,8 @@ mod tests {
             .unwrap();
         let loaded: ReleasedSynopsis =
             ReleasedSynopsis::from_json(&leafy.release().to_json()).unwrap();
-        assert_eq!(
-            loaded.as_tree().noisy_count(0),
-            None,
-            "withheld root stays withheld"
-        );
-        assert!(!loaded.as_tree().is_postprocessed());
+        assert_eq!(loaded.noisy_count(0), None, "withheld root stays withheld");
+        assert!(!loaded.is_postprocessed());
     }
 
     #[test]
@@ -532,7 +644,7 @@ mod tests {
             .with_seed(3)
             .build(&pts)
             .unwrap();
-        let pretty = ReleasedSynopsis::from_tree(&tree).to_json_pretty();
+        let pretty = tree.release().to_json_pretty();
         let loaded = ReleasedSynopsis::from_json(&pretty).unwrap();
         assert_eq!(loaded.query(&domain), range_query(&tree, &domain));
     }
@@ -544,7 +656,7 @@ mod tests {
             .with_seed(4)
             .build(&pts)
             .unwrap();
-        let good = ReleasedSynopsis::from_tree(&tree).to_json();
+        let good = tree.release().to_json();
 
         let cases = [
             ("not json at all", "{"),
@@ -625,7 +737,7 @@ mod tests {
             .with_seed(17)
             .build(&pts)
             .unwrap();
-        let synopsis = ReleasedSynopsis::from_tree(&tree);
+        let synopsis = tree.release();
         let queries = workload(&domain, 60);
 
         // JSON aliases are byte-for-byte the canonical serialization.
@@ -633,22 +745,16 @@ mod tests {
         let via_alias = ReleasedSynopsis::<2>::from_json_str(&synopsis.to_json_string()).unwrap();
         assert_eq!(via_alias.query_batch(&queries), tree.query_batch(&queries));
 
-        // The text release format round-trips through the same type.
-        let text = synopsis.to_release_text();
-        assert!(text.starts_with("dpsd-release v1\n"));
-        let via_text = ReleasedSynopsis::<2>::from_release_text(&text).unwrap();
-        assert_eq!(via_text.as_tree().kind(), tree.kind());
-        for (a, b) in via_text
+        // The binary format round-trips through the same type.
+        let via_bin = ReleasedSynopsis::<2>::from_bytes(&synopsis.to_flat_bytes()).unwrap();
+        assert_eq!(via_bin.kind(), tree.kind());
+        for (a, b) in via_bin
             .query_batch(&queries)
             .iter()
             .zip(tree.query_batch(&queries))
         {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-        assert!(
-            ReleasedSynopsis::<2>::from_release_text("not a release").is_err(),
-            "malformed text must be rejected"
-        );
     }
 
     #[test]
@@ -659,13 +765,13 @@ mod tests {
             .build(&pts)
             .unwrap();
         assert!(tree.is_postprocessed());
-        let json = ReleasedSynopsis::from_tree(&tree).to_json();
+        let json = tree.release().to_json();
         // Posted counts are not on the wire at all.
         assert!(!json.contains("posted"));
         let loaded: ReleasedSynopsis = ReleasedSynopsis::from_json(&json).unwrap();
         for v in tree.node_ids() {
             let (a, b) = (
-                loaded.as_tree().posted_count(v).unwrap(),
+                loaded.posted_count(v).unwrap(),
                 tree.posted_count(v).unwrap(),
             );
             assert_eq!(a.to_bits(), b.to_bits(), "posted {v}: {a} vs {b}");

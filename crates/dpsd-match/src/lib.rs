@@ -152,7 +152,7 @@ pub fn run_blocking(
         }
         retained_leaves += 1;
         retained[v] = true;
-        let rect = *tree.rect(v);
+        let rect = tree.rect(v);
         // B records that could match something in this leaf.
         let b_near = b_index.count(&rect.expanded(d)) as f64;
         // SMC is sized by the *published* leaf count: A pads (or trims)

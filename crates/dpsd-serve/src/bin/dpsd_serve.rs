@@ -5,8 +5,8 @@
 //!            [--tenant-cap name=eps ...] [--load name=path ...]
 //! ```
 //!
-//! `--load` preloads artifacts (a `dpsd-bin/v1` blob, a JSON synopsis,
-//! or a text release — the format is sniffed) before the socket opens;
+//! `--load` preloads artifacts (a `dpsd-bin/v1` blob or a JSON synopsis
+//! — the format is sniffed) before the socket opens;
 //! everything else is published over the wire with
 //! `POST /synopses/{name}`. `--tenant-cap` installs a per-tenant
 //! privacy budget cap before any preload, so preloads debit against it

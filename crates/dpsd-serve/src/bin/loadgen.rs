@@ -9,7 +9,7 @@
 //! ```text
 //! loadgen [--addr HOST:PORT] [--queries N] [--batch B] [--clients C]
 //!         [--seed S] [--cache-capacity N] [--no-cache] [--dims 2|3]
-//!         [--format json|text|bin] [--json PATH]
+//!         [--format json|bin] [--json PATH]
 //!         [--stream] [--ingest-total N] [--epoch-points N]
 //!         [--ingest-batch N] [--epsilon E] [--window W] [--user-cap C]
 //!         [--tenant-cap EPS]
@@ -17,10 +17,9 @@
 //!
 //! Without `--addr` an in-process server is spawned on an ephemeral
 //! port (the CI smoke path). `--format` picks the publish wire format —
-//! the JSON synopsis, the text release, or the `dpsd-bin/v1` binary
-//! blob — and the direct verification synopsis is reloaded through the
-//! **same** codec, so the bit-identity gate covers every format end to
-//! end. Three workloads run in sequence — uniform, Zipf hotspot,
+//! the JSON synopsis or the `dpsd-bin/v1` binary blob — and the direct
+//! verification synopsis is reloaded through the **same** codec, so the
+//! bit-identity gate covers both formats end to end. Three workloads run in sequence — uniform, Zipf hotspot,
 //! adversarial cache-bust — and the run **fails** if any answer
 //! diverges from the direct synopsis or if the hotspot workload does
 //! not clear a 50% cache hit rate while the cache is enabled.
@@ -63,7 +62,6 @@ use std::time::Instant;
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum ArtifactFormat {
     Json,
-    Text,
     Bin,
 }
 
@@ -71,7 +69,6 @@ impl ArtifactFormat {
     fn parse(s: &str) -> Option<ArtifactFormat> {
         match s {
             "json" => Some(ArtifactFormat::Json),
-            "text" => Some(ArtifactFormat::Text),
             "bin" => Some(ArtifactFormat::Bin),
             _ => None,
         }
@@ -80,7 +77,6 @@ impl ArtifactFormat {
     fn label(self) -> &'static str {
         match self {
             ArtifactFormat::Json => "json",
-            ArtifactFormat::Text => "text",
             ArtifactFormat::Bin => "bin",
         }
     }
@@ -137,7 +133,7 @@ impl Default for Options {
 fn usage() -> &'static str {
     "usage: loadgen [--addr HOST:PORT] [--queries N] [--batch B] [--clients C] \
      [--seed S] [--cache-capacity N] [--no-cache] [--dims 2|3] \
-     [--format json|text|bin] [--json PATH] \
+     [--format json|bin] [--json PATH] \
      [--stream] [--ingest-total N] [--epoch-points N] [--ingest-batch N] [--epsilon E] \
      [--window W] [--user-cap C] [--tenant-cap EPS]"
 }
@@ -171,7 +167,7 @@ fn parse_options() -> Result<Options, String> {
             "--format" => {
                 let v = value_for("--format")?;
                 opts.format = ArtifactFormat::parse(&v)
-                    .ok_or_else(|| format!("bad --format `{v}` (expected json, text, or bin)"))?
+                    .ok_or_else(|| format!("bad --format `{v}` (expected json or bin)"))?
             }
             "--json" => opts.json = Some(value_for("--json")?),
             "--stream" => opts.stream = true,
@@ -292,7 +288,6 @@ fn encode_artifact<const D: usize>(
 ) -> Vec<u8> {
     match format {
         ArtifactFormat::Json => release.to_json_string().into_bytes(),
-        ArtifactFormat::Text => release.to_release_text().into_bytes(),
         ArtifactFormat::Bin => release.to_flat_bytes(),
     }
 }
@@ -303,13 +298,12 @@ fn decode_artifact<const D: usize>(
     artifact: &[u8],
     format: ArtifactFormat,
 ) -> Result<ReleasedSynopsis<D>, String> {
-    let utf8 = |what: &str| {
-        std::str::from_utf8(artifact).map_err(|_| format!("{what} artifact is not UTF-8"))
-    };
     match format {
-        ArtifactFormat::Json => ReleasedSynopsis::from_json_str(utf8("json")?),
-        ArtifactFormat::Text => ReleasedSynopsis::from_release_text(utf8("text")?),
-        ArtifactFormat::Bin => ReleasedSynopsis::from_flat_bytes(artifact),
+        ArtifactFormat::Json => {
+            let text = std::str::from_utf8(artifact).map_err(|_| "json artifact is not UTF-8")?;
+            ReleasedSynopsis::from_json_str(text)
+        }
+        ArtifactFormat::Bin => ReleasedSynopsis::from_bytes(artifact),
     }
     .map_err(|e| format!("artifact must load: {e}"))
 }
@@ -1022,14 +1016,14 @@ fn run<const D: usize>(opts: &Options) -> Result<(), String> {
     }
     eprintln!(
         "loadgen: published {} nodes (dims {}, format {}, {} artifact bytes) to {addr}",
-        direct.as_tree().node_count(),
+        direct.node_count(),
         D,
         opts.format.label(),
         artifact.len(),
     );
 
     let domain_wire: Vec<f64> = {
-        let d = direct.as_tree().domain();
+        let d = direct.domain();
         d.min.iter().chain(d.max.iter()).copied().collect()
     };
     let mut results = Vec::new();
@@ -1060,7 +1054,7 @@ fn run<const D: usize>(opts: &Options) -> Result<(), String> {
         results.push(result);
     }
 
-    let report = render_report(opts, &results, direct.as_tree().node_count());
+    let report = render_report(opts, &results, direct.node_count());
     if let Some(path) = &opts.json {
         std::fs::write(path, &report).map_err(|e| format!("cannot write {path}: {e}"))?;
         eprintln!("loadgen: wrote {path}");
@@ -1120,7 +1114,7 @@ fn run_tenant_cap<const D: usize>(opts: &Options, cap: f64) -> Result<(), String
     let direct = decode_artifact::<D>(&artifact, opts.format)?;
     // The per-release debit is the artifact's composed epsilon, read
     // through the same decode path the server uses.
-    let eps = direct.as_tree().epsilon();
+    let eps = direct.epsilon();
     let name = "capped-soak";
     let mut ledger =
         EpsilonLedger::new(cap).map_err(|e| format!("--tenant-cap rejected by ledger: {e}"))?;

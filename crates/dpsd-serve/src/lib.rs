@@ -11,7 +11,7 @@
 //!
 //! * [`registry`] — named, versioned, `Arc`-shared synopses with
 //!   atomic hot-swap on re-publish, accepting both published formats
-//!   (JSON synopsis and text release) in any dimension `1..=4`;
+//!   (JSON synopsis and `dpsd-bin/v1`) in any dimension `1..=4`;
 //! * [`cache`] — a sharded read-through LRU keyed on
 //!   `(name, version, exact rect bits)`, making cached answers
 //!   bit-identical to uncached ones by construction and stale answers

@@ -13,20 +13,16 @@
 //! Dimension is a runtime property on the wire but a compile-time
 //! property of the typed synopses, so [`AnySynopsis`] erases it over
 //! the supported range `D ∈ 1..=4` (the same range the evaluation
-//! sweeps cover). Artifacts in **all three** published formats load:
-//! the `dpsd-bin/v1` binary blob (sniffed by its magic bytes), the JSON
-//! synopsis, and the line-oriented text release. Whatever the wire
-//! format, every tenant is hosted as a
-//! [`FlatSynopsis`] arena — the
-//! structure-of-arrays query kernel — so the serving hot path never
-//! walks pointer-y tree nodes and answers stay bit-identical to the
-//! source tree in every format.
+//! sweeps cover). Artifacts in both published formats load: the
+//! `dpsd-bin/v1` binary blob (sniffed by its magic bytes) and the JSON
+//! synopsis. Either way the tenant is hosted as the loaded
+//! [`ReleasedSynopsis`] itself — the structure-of-arrays arena the one
+//! query kernel sweeps — so answers stay bit-identical to the source
+//! tree in every format.
 
 use crate::error::ServeError;
 use crate::sync::{read_or_recover, write_or_recover};
 use dpsd_core::budget::EpsilonLedger;
-use dpsd_core::flat::FlatSynopsis;
-use dpsd_core::synopsis::SpatialSynopsis;
 use dpsd_core::tree::{ReleasedSynopsis, TreeKind};
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
@@ -35,20 +31,19 @@ use std::sync::{Arc, RwLock};
 /// range of the dimension-generic core).
 pub const MAX_DIMS: usize = 4;
 
-/// A published synopsis of any supported dimension, hosted as a flat
-/// arena.
+/// A published synopsis of any supported dimension.
 pub enum AnySynopsis {
     /// A 1-dimensional synopsis.
-    D1(FlatSynopsis<1>),
+    D1(ReleasedSynopsis<1>),
     /// A planar synopsis.
-    D2(FlatSynopsis<2>),
+    D2(ReleasedSynopsis<2>),
     /// A 3-dimensional synopsis.
-    D3(FlatSynopsis<3>),
+    D3(ReleasedSynopsis<3>),
     /// A 4-dimensional synopsis.
-    D4(FlatSynopsis<4>),
+    D4(ReleasedSynopsis<4>),
 }
 
-/// Runs `$body` with `$s` bound to the typed `&FlatSynopsis<D>` of
+/// Runs `$body` with `$s` bound to the typed `&ReleasedSynopsis<D>` of
 /// whichever dimension `$any` holds. Generic functions called inside
 /// the body infer `D` from `$s`.
 macro_rules! with_synopsis {
@@ -63,16 +58,6 @@ macro_rules! with_synopsis {
 }
 pub(crate) use with_synopsis;
 
-/// Scans the first lines of a text release for its `dims` header
-/// (absent means the pre-generic planar format).
-fn text_release_dims(text: &str) -> usize {
-    text.lines()
-        .take(16)
-        .find_map(|l| l.strip_prefix("dims "))
-        .and_then(|rest| rest.trim().parse().ok())
-        .unwrap_or(2)
-}
-
 /// Deserializes a parsed JSON value as a `D`-dimensional synopsis,
 /// mapping validation failures to the client's fault.
 fn synopsis_from_value<const D: usize>(
@@ -82,7 +67,7 @@ fn synopsis_from_value<const D: usize>(
         .map_err(|e| ServeError::from(dpsd_core::DpsdError::from(e)))
 }
 
-/// The unsupported-dimension rejection, shared by all three formats.
+/// The unsupported-dimension rejection, shared by both formats.
 fn bad_dims(d: impl std::fmt::Display) -> ServeError {
     ServeError::BadRequest(format!(
         "artifact is {d}-dimensional; this server accepts 1..={MAX_DIMS}"
@@ -90,19 +75,16 @@ fn bad_dims(d: impl std::fmt::Display) -> ServeError {
 }
 
 impl AnySynopsis {
-    /// Loads a published artifact in any wire format, dispatching on
+    /// Loads a published artifact in either wire format, dispatching on
     /// the dimension it declares. `dpsd-bin` blobs are recognized by
-    /// their magic bytes and load straight into the arena; text
-    /// releases by their `dpsd-release` magic; everything else must be
-    /// a JSON synopsis. JSON/text artifacts are flattened after
-    /// validation, so serving always runs on [`FlatSynopsis`].
+    /// their magic bytes; everything else must be a JSON synopsis.
     pub fn load(artifact: &[u8]) -> Result<Self, ServeError> {
         if dpsd_core::flat::is_flat_artifact(artifact) {
             return match dpsd_core::flat::peek_dims(artifact) {
-                Some(1) => Ok(AnySynopsis::D1(FlatSynopsis::from_bytes(artifact)?)),
-                Some(2) => Ok(AnySynopsis::D2(FlatSynopsis::from_bytes(artifact)?)),
-                Some(3) => Ok(AnySynopsis::D3(FlatSynopsis::from_bytes(artifact)?)),
-                Some(4) => Ok(AnySynopsis::D4(FlatSynopsis::from_bytes(artifact)?)),
+                Some(1) => Ok(AnySynopsis::D1(ReleasedSynopsis::from_bytes(artifact)?)),
+                Some(2) => Ok(AnySynopsis::D2(ReleasedSynopsis::from_bytes(artifact)?)),
+                Some(3) => Ok(AnySynopsis::D3(ReleasedSynopsis::from_bytes(artifact)?)),
+                Some(4) => Ok(AnySynopsis::D4(ReleasedSynopsis::from_bytes(artifact)?)),
                 Some(d) => Err(bad_dims(d)),
                 None => Err(ServeError::BadRequest(
                     "dpsd-bin artifact is truncated before the dims field".into(),
@@ -112,41 +94,22 @@ impl AnySynopsis {
         let text = std::str::from_utf8(artifact).map_err(|_| {
             ServeError::BadRequest("artifact is neither dpsd-bin nor UTF-8 text".into())
         })?;
-        let trimmed = text.trim_start();
-        if trimmed.starts_with("dpsd-release") {
-            match text_release_dims(trimmed) {
-                1 => Ok(AnySynopsis::D1(flatten(
-                    ReleasedSynopsis::from_release_text(text)?,
-                ))),
-                2 => Ok(AnySynopsis::D2(flatten(
-                    ReleasedSynopsis::from_release_text(text)?,
-                ))),
-                3 => Ok(AnySynopsis::D3(flatten(
-                    ReleasedSynopsis::from_release_text(text)?,
-                ))),
-                4 => Ok(AnySynopsis::D4(flatten(
-                    ReleasedSynopsis::from_release_text(text)?,
-                ))),
-                d => Err(bad_dims(d)),
-            }
-        } else {
-            // Parse once; the `dims` field picks the typed loader and
-            // the same value tree feeds it (no second pass over what
-            // can be a multi-hundred-megabyte artifact). A missing
-            // `dims` means a pre-generic planar artifact.
-            let value: serde::Value = serde_json::from_str(text)
-                .map_err(|e| ServeError::BadRequest(format!("artifact is not valid JSON: {e}")))?;
-            let dims = value
-                .get("dims")
-                .and_then(serde::Value::as_u64)
-                .unwrap_or(2);
-            match dims {
-                1 => Ok(AnySynopsis::D1(flatten(synopsis_from_value(&value)?))),
-                2 => Ok(AnySynopsis::D2(flatten(synopsis_from_value(&value)?))),
-                3 => Ok(AnySynopsis::D3(flatten(synopsis_from_value(&value)?))),
-                4 => Ok(AnySynopsis::D4(flatten(synopsis_from_value(&value)?))),
-                d => Err(bad_dims(d)),
-            }
+        // Parse once; the `dims` field picks the typed loader and the
+        // same value tree feeds it (no second pass over what can be a
+        // multi-hundred-megabyte artifact). A missing `dims` means a
+        // pre-generic planar artifact.
+        let value: serde::Value = serde_json::from_str(text)
+            .map_err(|e| ServeError::BadRequest(format!("artifact is not valid JSON: {e}")))?;
+        let dims = value
+            .get("dims")
+            .and_then(serde::Value::as_u64)
+            .unwrap_or(2);
+        match dims {
+            1 => Ok(AnySynopsis::D1(synopsis_from_value(&value)?)),
+            2 => Ok(AnySynopsis::D2(synopsis_from_value(&value)?)),
+            3 => Ok(AnySynopsis::D3(synopsis_from_value(&value)?)),
+            4 => Ok(AnySynopsis::D4(synopsis_from_value(&value)?)),
+            d => Err(bad_dims(d)),
         }
     }
 
@@ -178,15 +141,10 @@ impl AnySynopsis {
     /// The covered domain in wire layout (all minima, then all maxima).
     pub fn domain_wire(&self) -> Vec<f64> {
         with_synopsis!(self, s => {
-            let d = dpsd_core::synopsis::SpatialSynopsis::domain(s);
+            let d = s.domain();
             d.min.iter().chain(d.max.iter()).copied().collect()
         })
     }
-}
-
-/// Flattens a validated release into the serving arena.
-fn flatten<const D: usize>(synopsis: ReleasedSynopsis<D>) -> FlatSynopsis<D> {
-    FlatSynopsis::from_released(&synopsis)
 }
 
 /// One atomically published artifact: name, monotonically increasing
@@ -515,25 +473,11 @@ mod tests {
         assert!(s3.node_count() > 0 && s3.epsilon() > 0.0);
         assert_eq!(s3.domain_wire().len(), 6);
 
-        // Text format, via the typed constructors.
-        let loaded = sample_release::<2>();
-        let text = loaded.to_release_text();
-        let via_text = AnySynopsis::load(text.as_bytes()).unwrap();
-        assert_eq!(via_text.dims(), 2);
-        let q = Rect::new(1.0, 2.0, 9.0, 11.0).unwrap();
-        match (&via_text, &loaded) {
-            (AnySynopsis::D2(a), b) => {
-                assert_eq!(a.query(&q).to_bits(), b.query(&q).to_bits());
-            }
-            _ => panic!("expected a planar synopsis"),
-        }
-
         // Binary format: same answers, loaded straight into the arena.
+        let loaded = sample_release::<2>();
+        let q = Rect::new(1.0, 2.0, 9.0, 11.0).unwrap();
         let via_bin = AnySynopsis::load(&loaded.to_flat_bytes()).unwrap();
-        assert_eq!(
-            (via_bin.dims(), via_bin.kind()),
-            (2, loaded.as_tree().kind())
-        );
+        assert_eq!((via_bin.dims(), via_bin.kind()), (2, loaded.kind()));
         match (&via_bin, &loaded) {
             (AnySynopsis::D2(a), b) => {
                 assert_eq!(a.query(&q).to_bits(), b.query(&q).to_bits());

@@ -7,7 +7,7 @@
 //!
 //! | Method & path                        | Meaning                                   |
 //! |--------------------------------------|-------------------------------------------|
-//! | `POST /synopses/{name}`              | Publish (or hot-swap) an artifact — body is a `dpsd-bin/v1` blob, a JSON synopsis, or a text release |
+//! | `POST /synopses/{name}`              | Publish (or hot-swap) an artifact — body is a `dpsd-bin/v1` blob or a JSON synopsis |
 //! | `GET /synopses`                      | List published synopses                   |
 //! | `GET /synopses/{name}`               | One synopsis' metadata                    |
 //! | `POST /synopses/{name}/query`        | `{"rect": [min..., max...]}` → one estimate |
@@ -22,11 +22,9 @@
 //! The serving layer adds **zero numeric drift**: every estimate a
 //! client receives is bit-identical to calling
 //! [`SpatialSynopsis::query`]/[`query_batch`](SpatialSynopsis::query_batch)
-//! on the published release directly. Whatever format an artifact
-//! arrived in, tenants are hosted as
-//! [`FlatSynopsis`] arenas, whose kernel
-//! settles nodes in the same depth-first order as the tree path — so
-//! flattening changes no bits either. That holds through all three
+//! on the published release directly: whichever format an artifact
+//! arrived in, the tenant *is* the loaded [`ReleasedSynopsis`], queried
+//! by the same kernel as the owner's tree. That holds through all three
 //! serving features — the read-through cache (keys pin exact rect bit
 //! patterns and the synopsis version), batch dispatch through
 //! [`ParallelQuery::query_batch_parallel`] (bit-identical to sequential
@@ -48,9 +46,9 @@ use crate::registry::{
 };
 use crate::stream::{IngestReport, StreamManager, StreamSpec};
 use dpsd_core::exec::Parallelism;
-use dpsd_core::flat::FlatSynopsis;
 use dpsd_core::geometry::Rect;
 use dpsd_core::synopsis::{ParallelQuery, SpatialSynopsis};
+use dpsd_core::tree::ReleasedSynopsis;
 use serde::Value;
 use std::io::{BufReader, BufWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -486,7 +484,7 @@ fn parse_rect<const D: usize>(coords: &[f64]) -> Result<Rect<D>, ServeError> {
 /// Read-through single query: bit-identical to `synopsis.query(rect)`
 /// whether the answer came from the cache or not.
 fn answer_one<const D: usize>(
-    synopsis: &FlatSynopsis<D>,
+    synopsis: &ReleasedSynopsis<D>,
     published: &PublishedSynopsis,
     cache: &ShardedCache,
     coords: &[f64],
@@ -507,7 +505,7 @@ fn answer_one<const D: usize>(
 /// queries, the spliced vector equals `synopsis.query_batch(all)` bit
 /// for bit.
 fn answer_batch<const D: usize>(
-    synopsis: &FlatSynopsis<D>,
+    synopsis: &ReleasedSynopsis<D>,
     published: &PublishedSynopsis,
     cache: &ShardedCache,
     wire_rects: &[Value],

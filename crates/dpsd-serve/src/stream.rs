@@ -232,118 +232,31 @@ impl AnyIngestor {
             d => return Err(ServeError::BadRequest(format!("unsupported dims {d}"))),
         })
     }
+}
 
-    fn dims(&self) -> usize {
-        match self {
-            AnyIngestor::D1(_) => 1,
-            AnyIngestor::D2(_) => 2,
-            AnyIngestor::D3(_) => 3,
-            AnyIngestor::D4(_) => 4,
-        }
+/// Absorbs one wire point (validated here: `D` finite coordinates) on
+/// behalf of `user`.
+fn absorb_wire<const D: usize>(
+    ingestor: &mut StreamIngestor<D>,
+    coords: &[f64],
+    user: Option<u64>,
+) -> Result<Admission, ServeError> {
+    if coords.len() != D {
+        return Err(ServeError::BadRequest(format!(
+            "point must have {D} coordinates, got {}",
+            coords.len()
+        )));
     }
-
-    fn absorb_wire(&mut self, coords: &[f64], user: Option<u64>) -> Result<Admission, ServeError> {
-        let dims = self.dims();
-        if coords.len() != dims {
-            return Err(ServeError::BadRequest(format!(
-                "point must have {dims} coordinates, got {}",
-                coords.len()
-            )));
-        }
-        if coords.iter().any(|c| !c.is_finite()) {
-            return Err(ServeError::BadRequest(
-                "point coordinates must be finite".into(),
-            ));
-        }
-        fn absorb<const D: usize>(
-            ingestor: &mut StreamIngestor<D>,
-            coords: &[f64],
-            user: Option<u64>,
-        ) -> Result<Admission, ServeError> {
-            let mut c = [0.0; D];
-            c.copy_from_slice(coords);
-            ingestor
-                .absorb_from(Point::from_coords(c), user)
-                .map_err(ServeError::from)
-        }
-        with_ingestor!(self, s => absorb(s, coords, user))
+    if coords.iter().any(|c| !c.is_finite()) {
+        return Err(ServeError::BadRequest(
+            "point coordinates must be finite".into(),
+        ));
     }
-
-    /// Materializes the current epoch as `dpsd-bin` bytes.
-    fn release_epoch_bytes(&mut self) -> Result<(u64, f64, Vec<u8>), ServeError> {
-        with_ingestor!(self, s => {
-            let release = s.release_epoch()?;
-            Ok((release.epoch, release.epsilon, release.synopsis.to_flat_bytes()))
-        })
-    }
-
-    fn total_points(&self) -> u64 {
-        with_ingestor!(self, s => s.total_points())
-    }
-
-    fn epoch(&self) -> u64 {
-        with_ingestor!(self, s => s.epoch())
-    }
-
-    fn epsilon_spent(&self) -> f64 {
-        with_ingestor!(self, s => s.ledger().spent())
-    }
-
-    fn budget_cap(&self) -> f64 {
-        with_ingestor!(self, s => s.ledger().cap())
-    }
-
-    fn next_epoch_epsilon(&self) -> f64 {
-        with_ingestor!(self, s => s.next_epoch_epsilon())
-    }
-
-    fn height(&self) -> usize {
-        with_ingestor!(self, s => s.config().height)
-    }
-
-    fn hot_cell(&self) -> Option<(u64, u64)> {
-        with_ingestor!(self, s => s.hot_cell())
-    }
-
-    fn window(&self) -> Option<u64> {
-        with_ingestor!(self, s => s.window())
-    }
-
-    fn user_cap(&self) -> Option<u64> {
-        with_ingestor!(self, s => s.user_cap())
-    }
-
-    fn window_start(&self) -> u64 {
-        with_ingestor!(self, s => s.window_start())
-    }
-
-    fn window_points(&self) -> u64 {
-        with_ingestor!(self, s => s.window_points())
-    }
-
-    fn buckets_evicted(&self) -> u64 {
-        with_ingestor!(self, s => s.buckets_evicted())
-    }
-
-    fn admission_drops(&self) -> u64 {
-        with_ingestor!(self, s => s.admission_drops())
-    }
-
-    fn tracked_users(&self) -> usize {
-        with_ingestor!(self, s => s.tracked_users())
-    }
-
-    fn capped_users(&self) -> usize {
-        with_ingestor!(self, s => s.capped_users())
-    }
-
-    fn next_release_debit(&self) -> f64 {
-        with_ingestor!(self, s => s.next_release_debit())
-    }
-
-    fn check_next_release(&self) -> Result<(), ServeError> {
-        with_ingestor!(self, s => s.check_next_release().map_err(ServeError::from))
-    }
+    let mut c = [0.0; D];
+    c.copy_from_slice(coords);
+    ingestor
+        .absorb_from(Point::from_coords(c), user)
+        .map_err(ServeError::from)
 }
 
 /// One named stream: the accumulator plus its release bookkeeping.
@@ -472,88 +385,20 @@ impl StreamManager {
         }
         let stream = self.get(name)?;
         let mut state = lock_or_recover(&stream);
-        match (state.ingestor.user_cap(), users) {
-            (Some(_), None) => {
-                return Err(ServeError::BadRequest(
-                    "stream has a user cap: body must have a `users` array parallel to `points`"
-                        .into(),
-                ))
-            }
-            (None, Some(_)) => {
-                return Err(ServeError::BadRequest(
-                    "stream has no user cap: `users` is not accepted".into(),
-                ))
-            }
-            _ => {}
-        }
-        if let Some(u) = users {
-            if u.len() != points.len() {
-                return Err(ServeError::BadRequest(format!(
-                    "`users` must have one id per point: {} ids for {} points",
-                    u.len(),
-                    points.len()
-                )));
-            }
-        }
-        let start_total = state.ingestor.total_points();
-        let start_drops = state.ingestor.admission_drops();
-        let mut releases = Vec::new();
-        for (i, p) in points.iter().enumerate() {
-            // Release (and, under a window, age out the expired
-            // bucket) *before* deciding this point's admission, so the
-            // outcome does not depend on request batching.
-            self.release_if_at_boundary(name, &mut state, registry, cache, &mut releases)?;
-            let user = users.map(|u| u[i]);
-            state.ingestor.absorb_wire(p, user)?;
-        }
-        // A request ending exactly on a boundary still owes a release.
-        self.release_if_at_boundary(name, &mut state, registry, cache, &mut releases)?;
-        Ok(IngestReport {
-            absorbed: state.ingestor.total_points() - start_total,
-            dropped: state.ingestor.admission_drops() - start_drops,
-            total_points: state.ingestor.total_points(),
-            epochs_released: state.ingestor.epoch(),
-            epsilon_spent: state.ingestor.epsilon_spent(),
-            releases,
-        })
-    }
-
-    /// Releases and publishes the pending epoch when the stream total
-    /// sits exactly on the next epoch boundary.
-    fn release_if_at_boundary(
-        &self,
-        name: &str,
-        state: &mut StreamState,
-        registry: &SynopsisRegistry,
-        cache: &ShardedCache,
-        releases: &mut Vec<ReleasedEpoch>,
-    ) -> Result<(), ServeError> {
-        let boundary = (state.ingestor.epoch() + 1).saturating_mul(state.epoch_points);
-        if state.ingestor.total_points() != boundary {
-            return Ok(());
-        }
-        // Budget ordering: (1) the stream's own ledger must afford the
-        // release (checked without mutating, same comparison as the
-        // debit); (2) the release epsilon is reserved on the *tenant*
-        // ledger, atomically against concurrent manual publishes under
-        // this name; (3) only then is noise drawn and the internal
-        // debit taken — guaranteed to succeed after (1), since the
-        // stream mutex is held throughout. Either failure leaves both
-        // ledgers and the stream untouched (absorbed points stay).
-        state.ingestor.check_next_release()?;
-        registry.debit(name, state.ingestor.next_release_debit())?;
-        let (epoch, _epsilon, bytes) = state.ingestor.release_epoch_bytes()?;
-        // Publish through the registry's predebited path: identical
-        // hot-swap and cache-purge semantics to a manual POST, without
-        // double-charging the epsilon reserved in step (2).
-        let (published, _budget) = registry.publish_predebited(name, &bytes)?;
-        cache.purge_stale(name, published.version);
-        state.versions.push(published.version);
-        releases.push(ReleasedEpoch {
-            epoch,
-            version: published.version,
-        });
-        Ok(())
+        let StreamState {
+            ingestor,
+            epoch_points,
+            versions,
+        } = &mut *state;
+        let mut run = IngestRun {
+            name,
+            epoch_points: *epoch_points,
+            versions,
+            registry,
+            cache,
+            releases: Vec::new(),
+        };
+        with_ingestor!(ingestor, s => run.ingest(s, points, users))
     }
 
     /// The status object for one stream (also one entry of the
@@ -597,8 +442,115 @@ impl StreamManager {
     }
 }
 
+/// One ingest request against one locked stream: the release
+/// bookkeeping its epoch boundaries touch.
+struct IngestRun<'a> {
+    name: &'a str,
+    epoch_points: u64,
+    versions: &'a mut Vec<u64>,
+    registry: &'a SynopsisRegistry,
+    cache: &'a ShardedCache,
+    releases: Vec<ReleasedEpoch>,
+}
+
+impl IngestRun<'_> {
+    fn ingest<const D: usize>(
+        &mut self,
+        ingestor: &mut StreamIngestor<D>,
+        points: &[Vec<f64>],
+        users: Option<&[u64]>,
+    ) -> Result<IngestReport, ServeError> {
+        match (ingestor.user_cap(), users) {
+            (Some(_), None) => {
+                return Err(ServeError::BadRequest(
+                    "stream has a user cap: body must have a `users` array parallel to `points`"
+                        .into(),
+                ))
+            }
+            (None, Some(_)) => {
+                return Err(ServeError::BadRequest(
+                    "stream has no user cap: `users` is not accepted".into(),
+                ))
+            }
+            _ => {}
+        }
+        if let Some(u) = users {
+            if u.len() != points.len() {
+                return Err(ServeError::BadRequest(format!(
+                    "`users` must have one id per point: {} ids for {} points",
+                    u.len(),
+                    points.len()
+                )));
+            }
+        }
+        let start_total = ingestor.total_points();
+        let start_drops = ingestor.admission_drops();
+        for (i, p) in points.iter().enumerate() {
+            // Release (and, under a window, age out the expired
+            // bucket) *before* deciding this point's admission, so the
+            // outcome does not depend on request batching.
+            self.release_if_at_boundary(ingestor)?;
+            absorb_wire(ingestor, p, users.map(|u| u[i]))?;
+        }
+        // A request ending exactly on a boundary still owes a release.
+        self.release_if_at_boundary(ingestor)?;
+        Ok(IngestReport {
+            absorbed: ingestor.total_points() - start_total,
+            dropped: ingestor.admission_drops() - start_drops,
+            total_points: ingestor.total_points(),
+            epochs_released: ingestor.epoch(),
+            epsilon_spent: ingestor.ledger().spent(),
+            releases: std::mem::take(&mut self.releases),
+        })
+    }
+
+    /// Releases and publishes the pending epoch when the stream total
+    /// sits exactly on the next epoch boundary.
+    fn release_if_at_boundary<const D: usize>(
+        &mut self,
+        ingestor: &mut StreamIngestor<D>,
+    ) -> Result<(), ServeError> {
+        let boundary = (ingestor.epoch() + 1).saturating_mul(self.epoch_points);
+        if ingestor.total_points() != boundary {
+            return Ok(());
+        }
+        // Budget ordering: (1) the stream's own ledger must afford the
+        // release (checked without mutating, same comparison as the
+        // debit); (2) the release epsilon is reserved on the *tenant*
+        // ledger, atomically against concurrent manual publishes under
+        // this name; (3) only then is noise drawn and the internal
+        // debit taken — guaranteed to succeed after (1), since the
+        // stream mutex is held throughout. Either failure leaves both
+        // ledgers and the stream untouched (absorbed points stay).
+        ingestor.check_next_release()?;
+        self.registry
+            .debit(self.name, ingestor.next_release_debit())?;
+        let release = ingestor.release_epoch()?;
+        // Publish through the registry's predebited path: identical
+        // hot-swap and cache-purge semantics to a manual POST, without
+        // double-charging the epsilon reserved in step (2).
+        let (published, _budget) = self
+            .registry
+            .publish_predebited(self.name, &release.synopsis.to_flat_bytes())?;
+        self.cache.purge_stale(self.name, published.version);
+        self.versions.push(published.version);
+        self.releases.push(ReleasedEpoch {
+            epoch: release.epoch,
+            version: published.version,
+        });
+        Ok(())
+    }
+}
+
 fn stream_info(name: &str, state: &StreamState) -> Value {
-    let ingestor = &state.ingestor;
+    with_ingestor!(&state.ingestor, s => ingestor_info(name, state, s))
+}
+
+fn ingestor_info<const D: usize>(
+    name: &str,
+    state: &StreamState,
+    ingestor: &StreamIngestor<D>,
+) -> Value {
     let covered = ingestor.epoch().saturating_mul(state.epoch_points);
     let hot = match ingestor.hot_cell() {
         Some((key, estimate)) => Value::Object(vec![
@@ -609,10 +561,10 @@ fn stream_info(name: &str, state: &StreamState) -> Value {
     };
     Value::Object(vec![
         ("name".to_string(), Value::String(name.to_string())),
-        ("dims".to_string(), Value::Number(ingestor.dims() as f64)),
+        ("dims".to_string(), Value::Number(D as f64)),
         (
             "height".to_string(),
-            Value::Number(ingestor.height() as f64),
+            Value::Number(ingestor.config().height as f64),
         ),
         (
             "epoch_points".to_string(),
@@ -632,11 +584,11 @@ fn stream_info(name: &str, state: &StreamState) -> Value {
         ),
         (
             "epsilon_spent".to_string(),
-            Value::Number(ingestor.epsilon_spent()),
+            Value::Number(ingestor.ledger().spent()),
         ),
         (
             "budget_cap".to_string(),
-            Value::Number(ingestor.budget_cap()),
+            Value::Number(ingestor.ledger().cap()),
         ),
         (
             "next_epoch_epsilon".to_string(),

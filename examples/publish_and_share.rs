@@ -33,12 +33,12 @@ fn main() {
     let synopsis = ReleasedSynopsis::from_json_str(&published).expect("valid synopsis");
     println!(
         "analyst: loaded a {} of height {} covering {:?}",
-        synopsis.as_tree().kind(),
-        synopsis.as_tree().height(),
+        synopsis.kind(),
+        synopsis.height(),
         synopsis.domain(),
     );
-    // The synopsis carries no raw data at all:
-    assert_eq!(synopsis.as_tree().true_count(0), 0.0);
+    // The synopsis carries no raw data at all: its type has no
+    // exact-count column.
 
     // One region...
     let region = Rect::new(-118.0, 33.5, -114.0, 37.5).unwrap();

@@ -266,48 +266,30 @@ fn two_d_pipeline_is_bit_identical_to_pre_refactor_golden() {
     }
 }
 
-/// The flat arena is held to the same standard as the parallel path:
-/// for every fingerprinted family config, publishing the release as
-/// `dpsd-bin/v1` and sweeping the `FlatSynopsis` arena must return
-/// bit-for-bit what the pointer tree returns, query for query, and the
-/// binary round-trip back to a `ReleasedSynopsis` must change nothing.
+/// The binary format is held to the same standard as the parallel
+/// path: for every fingerprinted family config, publishing the release
+/// as `dpsd-bin/v1` and loading it back must return bit-for-bit what
+/// the release returns, query for query, and re-encode to the same
+/// bytes.
 #[test]
 fn flat_arena_is_bit_identical_on_all_golden_configs() {
     let pts = dataset();
-    let queries: Vec<Rect> = (0..300)
-        .map(|i| {
-            let x = (i % 21) as f64 * 2.9 - 3.0;
-            let y = ((i * 11) % 17) as f64 * 3.7;
-            let w = 0.7 + (i % 15) as f64 * 3.1;
-            let h = 1.3 + (i % 7) as f64 * 5.9;
-            Rect::new(x, y, x + w, y + h).unwrap()
-        })
-        .collect();
+    let queries = workload::<2>();
     for (name, config) in configs() {
-        let tree = config.build(&pts).unwrap();
-        let released = tree.release();
+        let released = config.build(&pts).unwrap().release();
         let blob = released.to_flat_bytes();
-        let flat = FlatSynopsis::<2>::from_bytes(&blob).unwrap();
-        let reloaded = ReleasedSynopsis::<2>::from_flat_bytes(&blob).unwrap();
+        let reloaded = ReleasedSynopsis::<2>::from_bytes(&blob).unwrap();
         assert_eq!(
             reloaded.to_flat_bytes(),
             blob,
             "{name}: binary re-encode drifted"
         );
-        let tree_batch = released.query_batch(&queries);
-        let flat_batch = flat.query_batch(&queries);
-        let reloaded_batch = reloaded.query_batch(&queries);
-        for (i, ((&t, &f), &r)) in tree_batch
+        let expect = released.query_batch(&queries);
+        for (i, (&t, &r)) in expect
             .iter()
-            .zip(&flat_batch)
-            .zip(&reloaded_batch)
+            .zip(&reloaded.query_batch(&queries))
             .enumerate()
         {
-            assert_eq!(
-                t.to_bits(),
-                f.to_bits(),
-                "{name}: flat arena diverged from the tree at query {i}"
-            );
             assert_eq!(
                 t.to_bits(),
                 r.to_bits(),
@@ -325,15 +307,7 @@ fn flat_arena_is_bit_identical_on_all_golden_configs() {
 #[test]
 fn parallel_queries_are_bit_identical_on_all_golden_configs() {
     let pts = dataset();
-    let queries: Vec<Rect> = (0..300)
-        .map(|i| {
-            let x = (i % 21) as f64 * 2.9 - 3.0;
-            let y = ((i * 11) % 17) as f64 * 3.7;
-            let w = 0.7 + (i % 15) as f64 * 3.1;
-            let h = 1.3 + (i % 7) as f64 * 5.9;
-            Rect::new(x, y, x + w, y + h).unwrap()
-        })
-        .collect();
+    let queries = workload::<2>();
     for (name, config) in configs() {
         let tree = config.build(&pts).unwrap();
         let sequential = tree.query_batch(&queries);
@@ -352,5 +326,120 @@ fn parallel_queries_are_bit_identical_on_all_golden_configs() {
                 );
             }
         }
+    }
+}
+
+/// A deterministic 300-rect workload, some rects overflowing the
+/// domain; deeper axes (`D > 2`) get their own stride.
+fn workload<const D: usize>() -> Vec<Rect<D>> {
+    (0..300)
+        .map(|i| {
+            let mut min = [0.0; D];
+            let mut max = [0.0; D];
+            for k in 0..D {
+                let (lo, extent) = match k {
+                    0 => ((i % 21) as f64 * 2.9 - 3.0, 0.7 + (i % 15) as f64 * 3.1),
+                    1 => (((i * 11) % 17) as f64 * 3.7, 1.3 + (i % 7) as f64 * 5.9),
+                    _ => (
+                        ((i * (2 * k + 3)) % 13) as f64 * 4.9 - 2.0,
+                        2.1 + (i % 9) as f64 * 6.3,
+                    ),
+                };
+                min[k] = lo;
+                max[k] = lo + extent;
+            }
+            Rect::from_corners(min, max).unwrap()
+        })
+        .collect()
+}
+
+/// Folds every answer bit a tree gives the workload — per count
+/// source, batched and profiled — plus each profile's per-level
+/// contribution counts and partial-leaf count.
+fn answer_fingerprint<const D: usize>(tree: &PsdTree<D>, queries: &[Rect<D>]) -> u64 {
+    let mut h = Fnv::new();
+    for source in [
+        CountSource::Auto,
+        CountSource::Noisy,
+        CountSource::Posted,
+        CountSource::True,
+    ] {
+        if source == CountSource::Posted && !tree.is_postprocessed() {
+            continue;
+        }
+        let batch = range_query_batch_with(tree, queries, source);
+        for (q, &b) in queries.iter().zip(&batch) {
+            h.f64(b);
+            let (single, profile) = dpsd::core::query::range_query_profiled(tree, q, source);
+            assert_eq!(single.to_bits(), b.to_bits(), "{source:?}: single vs batch");
+            for &n in &profile.contained_per_level {
+                h.word(n as u64);
+            }
+            h.word(profile.partial_leaves as u64);
+        }
+    }
+    h.0
+}
+
+/// Pins the query answers themselves, not just the node columns: every
+/// golden family answers the 300-rect workload from every count source
+/// with exactly these bits. Captured before the tree and the serving
+/// arena shared one query kernel; regenerate with `PRINT_FINGERPRINTS=1`
+/// only for a deliberate change of query semantics.
+const GOLDEN_ANSWERS: &[(&str, u64)] = &[
+    ("quadtree", 0x7cb5270a4376e3ef),
+    ("kd-standard", 0x71cc8d83bd391070),
+    ("kd-hybrid", 0x7d0afee6e15dd493),
+    ("kd-noisymean", 0xeb0c1dbfd5cef23a),
+    ("kd-cell", 0x0ba56894fc835362),
+    ("hilbert-r", 0x23acfca1d0325679),
+    ("kd-true", 0x0423ae7705dd18c7),
+    ("kd-pure", 0xc6fe7258bb0903cb),
+    ("quadtree-leafonly", 0x5cb763164549efa0),
+    ("kd-standard-pruned", 0x750279923d0454c3),
+    ("kd-cell-3d", 0x1465bb9fba9365f2),
+    ("hilbert-r-3d", 0xc99e3421afe17ec7),
+    ("zorder-r-3d", 0x4b9a5be11de506df),
+    ("zorder-r-2d", 0xff2259d354534d6f),
+];
+
+#[test]
+fn query_answers_match_their_goldens() {
+    let pts = dataset();
+    let pts3 = dataset_3d();
+    let mut prints: Vec<(&'static str, u64)> = configs()
+        .into_iter()
+        .map(|(name, config)| {
+            let tree = config.build(&pts).unwrap();
+            (name, answer_fingerprint(&tree, &workload::<2>()))
+        })
+        .collect();
+    for (name, config) in configs_nd() {
+        let tree = config.build(&pts3).unwrap();
+        prints.push((name, answer_fingerprint(&tree, &workload::<3>())));
+    }
+    let zorder2 = PsdConfig::hilbert_r(domain(), 3, 0.5)
+        .with_curve(CurveKind::ZOrder)
+        .with_hilbert_order(10)
+        .with_seed(11)
+        .build(&pts)
+        .unwrap();
+    prints.push((
+        "zorder-r-2d",
+        answer_fingerprint(&zorder2, &workload::<2>()),
+    ));
+    if std::env::var("PRINT_FINGERPRINTS").is_ok() {
+        for (name, fp) in &prints {
+            println!("(\"{name}\", {fp:#018x}),");
+        }
+        return;
+    }
+    for (name, fp) in prints {
+        let expected = GOLDEN_ANSWERS
+            .iter()
+            .find(|(n, _)| *n == name)
+            .unwrap_or_else(|| panic!("no golden entry for {name}"))
+            .1;
+        assert_eq!(fp, expected, "{name}: query answers drifted");
     }
 }

@@ -3,7 +3,6 @@
 //! `D ∈ {1, 2, 3, 4}`, and the published artifacts round-trip
 //! **bit-for-bit**.
 
-use dpsd::core::tree::{read_release, write_release, CountSource, PsdTree};
 use dpsd::prelude::*;
 use proptest::prelude::*;
 
@@ -51,8 +50,12 @@ fn workload<const D: usize>(n: usize) -> Vec<Rect<D>> {
         .collect()
 }
 
-/// Every count column of two trees, compared bit-for-bit.
-fn assert_trees_bit_identical<const D: usize>(a: &PsdTree<D>, b: &PsdTree<D>, what: &str) {
+/// Every column of two releases, compared bit-for-bit.
+fn assert_releases_bit_identical<const D: usize>(
+    a: &ReleasedSynopsis<D>,
+    b: &ReleasedSynopsis<D>,
+    what: &str,
+) {
     assert_eq!(a.height(), b.height(), "{what}: height");
     assert_eq!(a.node_count(), b.node_count(), "{what}: node count");
     for v in a.node_ids() {
@@ -69,10 +72,9 @@ fn assert_trees_bit_identical<const D: usize>(a: &PsdTree<D>, b: &PsdTree<D>, wh
     }
 }
 
-/// Builds a kd-hybrid, publishes it as JSON and as the text release,
-/// reloads both, and checks bit-for-bit equality of everything the
-/// release carries (posted counts are *recomputed* by the loaders and
-/// must still match exactly).
+/// Builds a kd-hybrid, publishes it as JSON, reloads it, and checks
+/// bit-for-bit equality of everything the release carries (posted
+/// counts are *recomputed* by the loader and must still match exactly).
 fn roundtrip_case<const D: usize>(seed: u64) {
     let pts = clustered::<D>(900);
     let tree = PsdConfig::kd_hybrid(cube::<D>(), 3, 0.6, 2)
@@ -83,7 +85,7 @@ fn roundtrip_case<const D: usize>(seed: u64) {
 
     let json = tree.release().to_json();
     let loaded = ReleasedSynopsis::<D>::from_json(&json).unwrap();
-    assert_trees_bit_identical(loaded.as_tree(), tree.release().as_tree(), "json");
+    assert_releases_bit_identical(&loaded, &tree.release(), "json");
     // The loaded synopsis answers exactly like the source tree.
     for q in workload::<D>(40) {
         assert_eq!(
@@ -91,17 +93,6 @@ fn roundtrip_case<const D: usize>(seed: u64) {
             tree.query(&q).to_bits(),
             "D={D}: loaded synopsis diverged on {q:?}"
         );
-    }
-
-    let mut buf = Vec::new();
-    write_release(&tree, &mut buf).unwrap();
-    let loaded: PsdTree<D> = read_release(buf.as_slice()).unwrap();
-    // Exact counts never travel; everything released must be identical.
-    assert_eq!(loaded.true_count(0), 0.0);
-    for v in tree.node_ids() {
-        assert_eq!(loaded.rect(v), tree.rect(v), "text rect {v}");
-        assert_eq!(loaded.noisy_count(v), tree.noisy_count(v), "text noisy {v}");
-        assert_eq!(loaded.is_cut(v), tree.is_cut(v), "text cut {v}");
     }
 }
 
@@ -142,7 +133,7 @@ proptest! {
 
 /// The formerly planar families in every dimension: build, query
 /// (batch == singles bit-for-bit, and parallel == sequential at several
-/// thread counts), and release round-trip through both formats.
+/// thread counts), and JSON release round-trip.
 fn data_independent_family_case<const D: usize>(seed: u64) {
     let pts = clustered::<D>(700);
     let configs = [
@@ -181,30 +172,12 @@ fn data_independent_family_case<const D: usize>(seed: u64) {
 
         // JSON round-trip, bit-for-bit.
         let loaded = ReleasedSynopsis::<D>::from_json(&tree.release().to_json()).unwrap();
-        assert_trees_bit_identical(
-            loaded.as_tree(),
-            tree.release().as_tree(),
-            &format!("D={D} {kind} json"),
-        );
+        assert_releases_bit_identical(&loaded, &tree.release(), &format!("D={D} {kind} json"));
         for q in &qs {
             assert_eq!(
                 loaded.query(q).to_bits(),
                 tree.query(q).to_bits(),
                 "D={D} {kind}: loaded synopsis diverged"
-            );
-        }
-
-        // Text-format round-trip.
-        let mut buf = Vec::new();
-        write_release(&tree, &mut buf).unwrap();
-        let loaded: PsdTree<D> = read_release(buf.as_slice()).unwrap();
-        assert_eq!(loaded.true_count(0), 0.0, "exact counts never travel");
-        for v in tree.node_ids() {
-            assert_eq!(loaded.rect(v), tree.rect(v), "D={D} {kind} text rect {v}");
-            assert_eq!(
-                loaded.noisy_count(v),
-                tree.noisy_count(v),
-                "D={D} {kind} text noisy {v}"
             );
         }
     }
@@ -281,9 +254,6 @@ fn dimension_mismatch_is_a_typed_load_error() {
         }
         other => panic!("expected a dimension-mismatch error, got {other:?}"),
     }
-    let mut buf = Vec::new();
-    write_release(&tree, &mut buf).unwrap();
-    assert!(read_release::<2, _>(buf.as_slice()).is_err());
 }
 
 #[test]
@@ -302,18 +272,9 @@ fn pre_generic_planar_artifacts_still_load() {
     assert_ne!(legacy, json, "fixture drifted: no dims field found");
     let loaded = ReleasedSynopsis::<2>::from_json(&legacy).unwrap();
     assert_eq!(
-        loaded.query(&tree.domain().clone()).to_bits(),
-        tree.query(tree.domain()).to_bits()
+        loaded.query(&tree.domain()).to_bits(),
+        tree.query(&tree.domain()).to_bits()
     );
-    // Same for the text format: a release without the `dims` line is
-    // read as planar.
-    let mut buf = Vec::new();
-    write_release(&tree, &mut buf).unwrap();
-    let text = String::from_utf8(buf).unwrap();
-    let legacy_text = text.replace("dims 2\n", "");
-    assert_ne!(legacy_text, text, "fixture drifted: no dims line found");
-    let loaded: PsdTree<2> = read_release(legacy_text.as_bytes()).unwrap();
-    assert_eq!(loaded.noisy_count(0), tree.noisy_count(0));
 }
 
 #[test]
@@ -337,20 +298,8 @@ fn pre_generic_planar_artifacts_still_load_for_grid_and_hilbert_families() {
         assert_ne!(legacy, json, "fixture drifted: no dims field found");
         let loaded = ReleasedSynopsis::<2>::from_json(&legacy).unwrap();
         assert_eq!(
-            loaded.query(tree.domain()).to_bits(),
-            tree.query(tree.domain()).to_bits(),
-            "{}",
-            tree.kind()
-        );
-        let mut buf = Vec::new();
-        write_release(&tree, &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        let legacy_text = text.replace("dims 2\n", "");
-        assert_ne!(legacy_text, text, "fixture drifted: no dims line found");
-        let loaded: PsdTree<2> = read_release(legacy_text.as_bytes()).unwrap();
-        assert_eq!(
-            loaded.noisy_count(0),
-            tree.noisy_count(0),
+            loaded.query(&tree.domain()).to_bits(),
+            tree.query(&tree.domain()).to_bits(),
             "{}",
             tree.kind()
         );

@@ -211,8 +211,8 @@ fn published_synopsis_serves_thousand_query_workload_identically() {
     let published = tree.release().to_json();
     let server = ReleasedSynopsis::from_json(&published).expect("published synopsis loads");
 
-    // Raw data did not travel.
-    assert_eq!(server.as_tree().true_count(0), 0.0);
+    // Raw data did not travel: the synopsis type has no exact-count
+    // column to carry it.
     assert_eq!(server.epsilon(), SpatialSynopsis::epsilon(&tree));
 
     // Batched on the server, singles on the owner: all identical.

@@ -191,8 +191,6 @@ proptest! {
         seed in 0u64..1000,
         qs in queries_strategy(),
     ) {
-        use dpsd::core::ndim::NdTreeConfig;
-        let nd_domain = Rect::from_corners([0.0, 0.0], [100.0, 100.0]).unwrap();
         let tree = PsdConfig::kd_hybrid(domain(), 3, 0.5, 1).with_seed(seed).build(&pts).unwrap();
         let backends: Vec<Box<dyn SpatialSynopsis>> = vec![
             Box::new(tree.release()),
@@ -201,7 +199,6 @@ proptest! {
             Box::new(PsdConfig::hilbert_r(domain(), 3, 0.5).with_hilbert_order(8).with_seed(seed).build(&pts).unwrap()),
             Box::new(FlatGrid::build(&pts, domain(), 16, 16, 0.5, seed).unwrap()),
             Box::new(ExactIndex::build(&pts, domain(), 32).unwrap()),
-            Box::new(NdTreeConfig::new(nd_domain, 3, 0.5).with_seed(seed).build(&pts).unwrap()),
         ];
         for backend in &backends {
             let batch = backend.query_batch(&qs);
@@ -267,11 +264,10 @@ proptest! {
 /// Drives the cross-format round-trip for one dimensionality: build a
 /// private tree over the first `D` coordinates of each row, publish it
 /// as JSON, parse that back, re-encode as `dpsd-bin/v1`, and load the
-/// blob through both the tree-backed [`ReleasedSynopsis`] path and the
-/// [`FlatSynopsis`] arena. Every representation must answer every
-/// query with bit-identical `f64`s, the binary re-encode must be
-/// byte-stable, and the flat kernel's batch answers must equal its
-/// singles. Plain `assert!`s: proptest catches the panic and shrinks.
+/// blob again. Both loads must answer every query with bit-identical
+/// `f64`s, the binary re-encode must be byte-stable, and batch answers
+/// must equal singles. Plain `assert!`s: proptest catches the panic and
+/// shrinks.
 fn flat_roundtrip_case<const D: usize>(
     rows: &[Vec<f64>],
     qlos: &[Vec<f64>],
@@ -318,19 +314,17 @@ fn flat_roundtrip_case<const D: usize>(
 
     let via_json = ReleasedSynopsis::<D>::from_json_str(&tree.release().to_json_string()).unwrap();
     let blob = via_json.to_flat_bytes();
-    let via_bin = ReleasedSynopsis::<D>::from_flat_bytes(&blob).unwrap();
-    let flat = FlatSynopsis::<D>::from_bytes(&blob).unwrap();
+    let via_bin = ReleasedSynopsis::<D>::from_bytes(&blob).unwrap();
     assert_eq!(
         via_bin.to_flat_bytes(),
         blob,
         "binary re-encode drifted (D={D})"
     );
-    assert_eq!(flat.node_count(), via_json.node_count());
-    assert_eq!(flat.epsilon().to_bits(), via_json.epsilon().to_bits());
+    assert_eq!(via_bin.node_count(), via_json.node_count());
+    assert_eq!(via_bin.epsilon().to_bits(), via_json.epsilon().to_bits());
 
     let json_batch = via_json.query_batch(&queries);
     let bin_batch = via_bin.query_batch(&queries);
-    let flat_batch = flat.query_batch(&queries);
     for (i, q) in queries.iter().enumerate() {
         assert_eq!(
             json_batch[i].to_bits(),
@@ -338,14 +332,9 @@ fn flat_roundtrip_case<const D: usize>(
             "JSON and binary releases diverged on {q:?} (D={D})"
         );
         assert_eq!(
-            json_batch[i].to_bits(),
-            flat_batch[i].to_bits(),
-            "flat arena diverged from the tree on {q:?} (D={D})"
-        );
-        assert_eq!(
-            flat.query(q).to_bits(),
-            flat_batch[i].to_bits(),
-            "flat batch diverged from flat singles on {q:?} (D={D})"
+            via_bin.query(q).to_bits(),
+            bin_batch[i].to_bits(),
+            "batch diverged from singles on {q:?} (D={D})"
         );
     }
 }
@@ -354,10 +343,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// `dpsd-bin/v1` round-trip: for random releases in 1..=4
-    /// dimensions across three tree families, JSON -> binary ->
-    /// `FlatSynopsis` is bit-identical query-for-query, the binary
-    /// re-encode is byte-stable, and the flat kernel's batch path
-    /// returns exactly its singles.
+    /// dimensions across three tree families, JSON -> binary -> load is
+    /// bit-identical query-for-query, the binary re-encode is
+    /// byte-stable, and the batch path returns exactly its singles.
     #[test]
     fn flat_binary_roundtrip_is_bit_identical_in_all_dims(
         rows in prop::collection::vec(prop::collection::vec(0.0f64..100.0, 4..5), 1..120),

@@ -185,19 +185,6 @@ fn publish_and_query_3d_bit_identical_over_the_wire() {
 }
 
 #[test]
-fn text_release_format_publishes_too() {
-    let handle = start_server(ServeConfig::default());
-    let mut client = Client::connect(handle.addr()).unwrap();
-    let direct = synopsis_2d(31);
-    publish(&mut client, "textual", &direct.to_release_text());
-
-    let q = wire_rect(&Rect::new(3.0, 5.0, 41.0, 29.0).unwrap());
-    let got = single_estimate(&mut client, "textual", &q);
-    let want = direct.query(&Rect::new(3.0, 5.0, 41.0, 29.0).unwrap());
-    assert_eq!(got.to_bits(), want.to_bits());
-}
-
-#[test]
 fn binary_release_format_publishes_too() {
     let handle = start_server(ServeConfig::default());
     let mut client = Client::connect(handle.addr()).unwrap();
@@ -535,6 +522,37 @@ fn windowed_stream_serves_suffix_identical_answers_over_the_wire() {
     let info = client.get("/synopses/rolling/stream").unwrap();
     assert_eq!(info.status, 200);
     let info = info.json().unwrap();
+    let keys: Vec<&str> = match &info {
+        serde::Value::Object(members) => members.iter().map(|(k, _)| k.as_str()).collect(),
+        other => panic!("stream status is not an object: {other:?}"),
+    };
+    assert_eq!(
+        keys,
+        [
+            "name",
+            "dims",
+            "height",
+            "epoch_points",
+            "total_points",
+            "pending_points",
+            "epochs_released",
+            "epsilon_spent",
+            "budget_cap",
+            "next_epoch_epsilon",
+            "latest_version",
+            "window",
+            "window_start",
+            "window_points",
+            "buckets_evicted",
+            "user_cap",
+            "tracked_users",
+            "capped_users",
+            "admission_drops",
+            "next_release_debit",
+            "hot_cell",
+        ],
+        "stream status keys and their order are part of the wire contract"
+    );
     assert_eq!(info.get("window").and_then(|v| v.as_u64()), Some(2));
     assert_eq!(
         info.get("epochs_released").and_then(|v| v.as_u64()),

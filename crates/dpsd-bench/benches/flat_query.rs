@@ -4,12 +4,15 @@
 //!
 //! 1. **Query**: `flat_query_batch` times the kernel's batch sweep over
 //!    a synopsis loaded from bytes, at heights 7 and 9.
-//! 2. **Load**: `bin_load` (binary validate-then-move) must not be
-//!    slower than `json_parse` (text parse into the same columns) —
-//!    CI-gated by `compare_bench --assert-order`. The load group runs
-//!    at height 6: the vendored JSON parser is superlinear in artifact
-//!    size (h7 parses in ~10 s, h6 in ~0.6 s), and the comparison must
-//!    fit CI's bench-smoke wall-clock budget.
+//! 2. **Load**: on the height-7 release the query group builds,
+//!    `bin_load` (binary validate-then-move) must not be slower than
+//!    `json_parse` (text parse into the same columns) — CI-gated by
+//!    `compare_bench --assert-order`.
+//! 3. **Size-doubling probe**: `flat_load/h6/json_parse_x8` parses the
+//!    height-6 text 8 times per iteration. The h7 release has 4× the
+//!    nodes, so a linear parser reads it in about 4× the h6 time; CI
+//!    gates `flat_load/h7/json_parse` below the probe (under 8×), which
+//!    fails for a quadratic parser (about 16× per height).
 //!
 //! Before any timing, the loaded answers are asserted bit-identical to
 //! the built tree's and the binary round-trip is asserted byte-stable,
@@ -48,11 +51,15 @@ fn bench(c: &mut Criterion) {
     dpsd_bench::jsonctx::set_num("n_points", points.len() as f64);
     dpsd_bench::jsonctx::set_num("n_queries", queries.len() as f64);
 
-    for (name, height) in [("h7", 7), ("h9", 9)] {
-        let tree = PsdConfig::quadtree(TIGER_DOMAIN, height, 0.5)
+    let build = |height| {
+        PsdConfig::quadtree(TIGER_DOMAIN, height, 0.5)
             .with_seed(2)
             .build(&points)
-            .unwrap();
+            .unwrap()
+    };
+    let mut h7 = None;
+    for (name, height) in [("h7", 7), ("h9", 9)] {
+        let tree = build(height);
         let blob = tree.release().to_flat_bytes();
         let n = tree.node_count();
 
@@ -84,19 +91,17 @@ fn bench(c: &mut Criterion) {
             b.iter(|| flat.query_batch(black_box(&queries)).iter().sum::<f64>())
         });
         group.finish();
+        if height == 7 {
+            h7 = Some(tree);
+        }
     }
 
-    // Load-path comparison at height 6 (see the module docs for why the
-    // size is capped): JSON text parse versus the binary
-    // validate-then-move load of the same release.
-    let tree = PsdConfig::quadtree(TIGER_DOMAIN, 6, 0.5)
-        .with_seed(2)
-        .build(&points)
-        .unwrap();
-    let released = tree.release();
+    // Load-path comparison on the h7 release: JSON text parse versus
+    // the binary validate-then-move load of the same release.
+    let released = h7.expect("the query group builds h7").release();
     let json = released.to_json_string();
     let blob = released.to_flat_bytes();
-    let n = tree.node_count();
+    let n = released.node_count();
     let via_json = ReleasedSynopsis::<2>::from_json_str(&json).unwrap();
     let via_bin = FlatSynopsis::<2>::from_bytes(&blob).unwrap();
     let expect = via_json.query_batch(&queries);
@@ -131,13 +136,28 @@ fn bench(c: &mut Criterion) {
         "binary load must allocate less than the JSON parse floor"
     );
 
-    let mut group = c.benchmark_group("flat_load/h6");
+    let mut group = c.benchmark_group("flat_load/h7");
     group.throughput(Throughput::Bytes(blob.len() as u64));
     group.bench_function("json_parse", |b| {
         b.iter(|| ReleasedSynopsis::<2>::from_json_str(black_box(&json)).unwrap())
     });
     group.bench_function("bin_load", |b| {
         b.iter(|| FlatSynopsis::<2>::from_bytes(black_box(&blob)).unwrap())
+    });
+    group.finish();
+
+    // Size-doubling probe: 8 parses of the h6 text, a quarter of the
+    // h7 nodes each.
+    let json_h6 = build(6).release().to_json_string();
+    dpsd_bench::jsonctx::set_num("probe_json_bytes_h6", json_h6.len() as f64);
+    let mut group = c.benchmark_group("flat_load/h6");
+    group.throughput(Throughput::Bytes(8 * json_h6.len() as u64));
+    group.bench_function("json_parse_x8", |b| {
+        b.iter(|| {
+            for _ in 0..8 {
+                black_box(ReleasedSynopsis::<2>::from_json_str(black_box(&json_h6)).unwrap());
+            }
+        })
     });
     group.finish();
 }

@@ -602,6 +602,28 @@ fn points_body<const D: usize>(points: &[Point<D>], users_from: Option<u64>) -> 
     serde_json::to_string(&Value::Object(entries)).expect("ingest body serializes")
 }
 
+/// The server to drive: `--addr` when given, else an in-process server
+/// spawned on an ephemeral port, whose handle keeps it running until it
+/// is dropped.
+fn server_addr(opts: &Options) -> Result<(SocketAddr, Option<ServerHandle>), String> {
+    if let Some(a) = &opts.addr {
+        let addr = a
+            .parse()
+            .map_err(|_| format!("bad --addr `{a}` (need HOST:PORT)"))?;
+        return Ok((addr, None));
+    }
+    let config = ServeConfig {
+        cache_capacity: opts.cache_capacity,
+        parallelism: Parallelism::from_env(),
+        ..ServeConfig::default()
+    };
+    let server = Server::bind("127.0.0.1:0", config).map_err(|e| format!("cannot bind: {e}"))?;
+    let handle = server.spawn().map_err(|e| format!("cannot spawn: {e}"))?;
+    let addr = handle.addr();
+    eprintln!("loadgen: spawned in-process server on {addr}");
+    Ok((addr, Some(handle)))
+}
+
 /// Latency samples collected by the soak, split by request role.
 struct SoakLatencies {
     /// Ingest requests that crossed no epoch boundary.
@@ -617,26 +639,7 @@ struct SoakLatencies {
 /// [`batch_config_for`] at every release, verify every interleaved wire
 /// answer bit-for-bit, then audit the `/stats` accounting exactly.
 fn run_stream<const D: usize>(opts: &Options) -> Result<(), String> {
-    let mut spawned: Option<ServerHandle> = None;
-    let addr: SocketAddr = match &opts.addr {
-        Some(a) => a
-            .parse()
-            .map_err(|_| format!("bad --addr `{a}` (need HOST:PORT)"))?,
-        None => {
-            let config = ServeConfig {
-                cache_capacity: opts.cache_capacity,
-                parallelism: Parallelism::from_env(),
-                ..ServeConfig::default()
-            };
-            let server =
-                Server::bind("127.0.0.1:0", config).map_err(|e| format!("cannot bind: {e}"))?;
-            let handle = server.spawn().map_err(|e| format!("cannot spawn: {e}"))?;
-            let addr = handle.addr();
-            spawned = Some(handle);
-            eprintln!("loadgen: spawned in-process server on {addr}");
-            addr
-        }
-    };
+    let (addr, spawned) = server_addr(opts)?;
 
     let name = "soak";
     let epochs_expected = opts.ingest_total as u64 / opts.epoch_points;
@@ -979,27 +982,7 @@ fn render_stream_report(
 }
 
 fn run<const D: usize>(opts: &Options) -> Result<(), String> {
-    // Spawn an in-process server unless pointed at a running one.
-    let mut spawned: Option<ServerHandle> = None;
-    let addr: SocketAddr = match &opts.addr {
-        Some(a) => a
-            .parse()
-            .map_err(|_| format!("bad --addr `{a}` (need HOST:PORT)"))?,
-        None => {
-            let config = ServeConfig {
-                cache_capacity: opts.cache_capacity,
-                parallelism: Parallelism::from_env(),
-                ..ServeConfig::default()
-            };
-            let server =
-                Server::bind("127.0.0.1:0", config).map_err(|e| format!("cannot bind: {e}"))?;
-            let handle = server.spawn().map_err(|e| format!("cannot spawn: {e}"))?;
-            let addr = handle.addr();
-            spawned = Some(handle);
-            eprintln!("loadgen: spawned in-process server on {addr}");
-            addr
-        }
-    };
+    let (addr, spawned) = server_addr(opts)?;
 
     let artifact = encode_artifact(&build_release::<D>(opts.seed), opts.format);
     let direct = decode_artifact::<D>(&artifact, opts.format)?;
@@ -1089,26 +1072,7 @@ fn run<const D: usize>(opts: &Options) -> Result<(), String> {
 /// fails, its 409 body must carry the bit-exact arithmetic, and the
 /// exhausted publish must leave the registry observably untouched.
 fn run_tenant_cap<const D: usize>(opts: &Options, cap: f64) -> Result<(), String> {
-    let mut spawned: Option<ServerHandle> = None;
-    let addr: SocketAddr = match &opts.addr {
-        Some(a) => a
-            .parse()
-            .map_err(|_| format!("bad --addr `{a}` (need HOST:PORT)"))?,
-        None => {
-            let config = ServeConfig {
-                cache_capacity: opts.cache_capacity,
-                parallelism: Parallelism::from_env(),
-                ..ServeConfig::default()
-            };
-            let server =
-                Server::bind("127.0.0.1:0", config).map_err(|e| format!("cannot bind: {e}"))?;
-            let handle = server.spawn().map_err(|e| format!("cannot spawn: {e}"))?;
-            let addr = handle.addr();
-            spawned = Some(handle);
-            eprintln!("loadgen: spawned in-process server on {addr}");
-            addr
-        }
-    };
+    let (addr, spawned) = server_addr(opts)?;
 
     let artifact = encode_artifact(&build_release::<D>(opts.seed), opts.format);
     let direct = decode_artifact::<D>(&artifact, opts.format)?;

@@ -240,10 +240,20 @@ pub const CACHE_SHARDS: usize = 16;
 /// counters are global atomics (the stats endpoint reads them without
 /// taking any shard lock).
 pub struct ShardedCache {
-    shards: Vec<Mutex<LruCache<CacheKey, f64>>>,
+    shards: Vec<Mutex<Shard>>,
     hits: AtomicU64,
     misses: AtomicU64,
     capacity: usize,
+}
+
+/// One locked slice of a [`ShardedCache`].
+struct Shard {
+    lru: LruCache<CacheKey, f64>,
+    /// Per name, a lower bound on the oldest version the shard may hold;
+    /// a name without entries is absent. Evictions leave the bound
+    /// stale, which only costs [`ShardedCache::purge_stale`] one
+    /// unneeded walk.
+    oldest: HashMap<String, u64>,
 }
 
 /// A point-in-time view of the cache counters.
@@ -283,7 +293,12 @@ impl ShardedCache {
         let extra = capacity % shard_count;
         ShardedCache {
             shards: (0..shard_count)
-                .map(|i| Mutex::new(LruCache::new(base + usize::from(i < extra))))
+                .map(|i| {
+                    Mutex::new(Shard {
+                        lru: LruCache::new(base + usize::from(i < extra)),
+                        oldest: HashMap::new(),
+                    })
+                })
                 .collect(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -296,7 +311,7 @@ impl ShardedCache {
         self.capacity > 0
     }
 
-    fn shard(&self, key: &CacheKey) -> &Mutex<LruCache<CacheKey, f64>> {
+    fn shard(&self, key: &CacheKey) -> &Mutex<Shard> {
         let mut h = DefaultHasher::new();
         key.hash(&mut h);
         // Reduce modulo the shard count in u64 first; the remainder is
@@ -312,7 +327,7 @@ impl ShardedCache {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         }
-        let got = lock_or_recover(self.shard(key)).get(key).copied();
+        let got = lock_or_recover(self.shard(key)).lru.get(key).copied();
         match got {
             Some(v) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -330,7 +345,14 @@ impl ShardedCache {
         if !self.enabled() {
             return;
         }
-        lock_or_recover(self.shard(&key)).insert(key, value);
+        let mut shard = lock_or_recover(self.shard(&key));
+        match shard.oldest.get_mut(key.name()) {
+            Some(oldest) => *oldest = (*oldest).min(key.version()),
+            None => {
+                shard.oldest.insert(key.name().to_string(), key.version());
+            }
+        }
+        shard.lru.insert(key, value);
     }
 
     /// Evicts every entry for `name` minted against a version older
@@ -339,10 +361,32 @@ impl ShardedCache {
     /// hot-swap instead of waiting for LRU aging. The comparison is
     /// monotonic (`>=` keeps newer entries) so a purge that lost the
     /// race to a still-newer publish never evicts that publish's
-    /// freshly warmed answers.
+    /// freshly warmed answers. Only shards that may hold an entry of
+    /// `name` below `current` are walked.
     pub fn purge_stale(&self, name: &str, current: u64) {
         for shard in &self.shards {
-            lock_or_recover(shard).retain(|k| k.name() != name || k.version() >= current);
+            let mut shard = lock_or_recover(shard);
+            let Shard { lru, oldest } = &mut *shard;
+            let Some(bound) = oldest.get_mut(name) else {
+                continue;
+            };
+            if *bound >= current {
+                continue;
+            }
+            let mut kept = false;
+            lru.retain(|k| {
+                if k.name() != name {
+                    return true;
+                }
+                let keep = k.version() >= current;
+                kept |= keep;
+                keep
+            });
+            if kept {
+                *bound = current;
+            } else {
+                oldest.remove(name);
+            }
         }
     }
 
@@ -351,7 +395,11 @@ impl ShardedCache {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            entries: self.shards.iter().map(|s| lock_or_recover(s).len()).sum(),
+            entries: self
+                .shards
+                .iter()
+                .map(|s| lock_or_recover(s).lru.len())
+                .sum(),
             capacity: self.capacity,
         }
     }
@@ -449,6 +497,49 @@ mod tests {
         cache.purge_stale("t", 2);
         assert_eq!(cache.get(&CacheKey::new("t", 1, &r)), None);
         assert_eq!(cache.get(&CacheKey::new("t", 3, &r)), Some(3.0));
+    }
+
+    #[test]
+    fn purge_bounds_track_what_each_shard_holds() {
+        // Without evictions a shard keeps a bound for a name exactly
+        // while it holds entries of that name, and the bound never
+        // exceeds the oldest version it holds (else a purge could skip
+        // a stale entry). After the last purge below, no shard keeps a
+        // bound for "t", so any later purge of "t" walks nothing.
+        let cache = ShardedCache::new(1024);
+        let assert_bounds_hold = |name: &str| {
+            for shard in &cache.shards {
+                let shard = lock_or_recover(shard);
+                let held = shard
+                    .lru
+                    .keys_mru()
+                    .iter()
+                    .filter(|k| k.name() == name)
+                    .map(CacheKey::version)
+                    .min();
+                let bound = shard.oldest.get(name).copied();
+                assert_eq!(bound.is_some(), held.is_some(), "{name}");
+                assert!(bound <= held, "{name}: bound {bound:?} above {held:?}");
+            }
+        };
+        for i in 0..64 {
+            let r = Rect::<2>::from_corners([i as f64, 0.0], [i as f64 + 1.0, 1.0]).unwrap();
+            cache.insert(CacheKey::new("t", 2 + i % 2, &r), 0.0);
+            cache.insert(CacheKey::new("u", 1, &r), 0.0);
+        }
+        cache.insert(
+            CacheKey::new("t", 1, &Rect::from_corners([0.0, 0.0], [1.0, 1.0]).unwrap()),
+            0.0,
+        );
+        assert_bounds_hold("t");
+        cache.purge_stale("t", 2);
+        assert_bounds_hold("t");
+        cache.purge_stale("t", 3);
+        assert_bounds_hold("t");
+        cache.purge_stale("t", 4);
+        assert_bounds_hold("t");
+        assert_bounds_hold("u");
+        assert_eq!(cache.stats().entries, 64);
     }
 
     #[test]

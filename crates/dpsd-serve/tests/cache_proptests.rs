@@ -1,10 +1,11 @@
-//! Property tests for the query cache: the slab LRU against a naive
-//! reference model, collision-freedom of the bit-exact cache key, and
-//! the hot-swap staleness guarantee.
+//! Property tests for the query cache: the slab LRU and the sharded
+//! cache against naive reference models, collision-freedom of the
+//! bit-exact cache key, and the hot-swap staleness guarantee.
 
-use dpsd_serve::cache::{CacheKey, LruCache, ShardedCache};
+use dpsd_serve::cache::{CacheKey, LruCache, ShardedCache, CACHE_SHARDS};
 use dpsd_serve::registry::SynopsisRegistry;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 use dpsd_core::geometry::{Point, Rect};
 use dpsd_core::synopsis::SpatialSynopsis;
@@ -54,7 +55,97 @@ impl ModelLru {
     }
 }
 
+const NAMES: [&str; 3] = ["a", "b", "c"];
+const VERSIONS: u64 = 5;
+const RECTS: u32 = 4;
+
+/// A sharded-cache operation drawn by the properties below:
+/// `(op, name, version, rect)`, where op 0 is a get, 1 an insert and 2
+/// a `purge_stale(name, version)`.
+type CacheOp = (u32, u32, u64, u32);
+
+fn ops() -> impl Strategy<Value = Vec<CacheOp>> {
+    prop::collection::vec((0u32..3, 0u32..3, 1u64..=VERSIONS, 0u32..RECTS), 1..160)
+}
+
+fn cache_key((name, version, rect): (u32, u64, u32)) -> CacheKey {
+    let x = f64::from(rect);
+    let r = Rect::<2>::from_corners([x, 0.0], [x + 1.0, 1.0]).unwrap();
+    CacheKey::new(NAMES[name as usize], version, &r)
+}
+
+/// The obviously correct sharded cache without evictions: a map from
+/// `(name, version, rect)` to the last inserted answer, where a purge
+/// applies its retain to every entry.
+#[derive(Default)]
+struct ModelCache(BTreeMap<(u32, u64, u32), f64>);
+
+impl ModelCache {
+    fn purge_stale(&mut self, name: u32, current: u64) {
+        self.0.retain(|&(n, v, _), _| n != name || v >= current);
+    }
+}
+
 proptest! {
+    /// With room for every key in every shard, nothing is evicted, so
+    /// every get and every occupancy count must match the model
+    /// exactly, whichever shards a purge skips.
+    #[test]
+    fn sharded_cache_matches_the_reference_model(ops in ops()) {
+        let keys = NAMES.len() * VERSIONS as usize * RECTS as usize;
+        let cache = ShardedCache::new(CACHE_SHARDS * keys);
+        let mut model = ModelCache::default();
+        for (i, (op, name, version, rect)) in ops.into_iter().enumerate() {
+            let id = (name, version, rect);
+            match op {
+                0 => prop_assert_eq!(cache.get(&cache_key(id)), model.0.get(&id).copied()),
+                1 => {
+                    cache.insert(cache_key(id), i as f64);
+                    model.0.insert(id, i as f64);
+                }
+                _ => {
+                    cache.purge_stale(NAMES[name as usize], version);
+                    model.purge_stale(name, version);
+                }
+            }
+            prop_assert_eq!(cache.stats().entries, model.0.len());
+        }
+    }
+
+    /// Under eviction pressure the cache holds a subset of the model: a
+    /// hit returns the model's answer, and right after a purge no key of
+    /// that name below its version hits.
+    #[test]
+    fn purges_hold_under_eviction(capacity in 1usize..24, ops in ops()) {
+        let cache = ShardedCache::new(capacity);
+        let mut model = ModelCache::default();
+        for (i, (op, name, version, rect)) in ops.into_iter().enumerate() {
+            let id = (name, version, rect);
+            match op {
+                0 => {
+                    if let Some(hit) = cache.get(&cache_key(id)) {
+                        prop_assert_eq!(Some(hit), model.0.get(&id).copied());
+                    }
+                }
+                1 => {
+                    cache.insert(cache_key(id), i as f64);
+                    model.0.insert(id, i as f64);
+                }
+                _ => {
+                    cache.purge_stale(NAMES[name as usize], version);
+                    model.purge_stale(name, version);
+                    for stale in 1..version {
+                        for r in 0..RECTS {
+                            prop_assert_eq!(cache.get(&cache_key((name, stale, r))), None);
+                        }
+                    }
+                }
+            }
+            let entries = cache.stats().entries;
+            prop_assert!(entries <= capacity.min(model.0.len()), "{entries} entries");
+        }
+    }
+
     /// Every interleaving of gets and inserts leaves the slab LRU in
     /// exactly the state of the reference model: same hit/miss
     /// answers, same evictions, same recency order.

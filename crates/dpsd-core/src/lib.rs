@@ -17,7 +17,7 @@
 //! | [`synopsis`] | — | the backend-agnostic [`SpatialSynopsis`] trait and its [`ParallelQuery`] extension |
 //! | [`error`] | — | the workspace-wide [`DpsdError`] type |
 //! | [`exec`] | — | deterministic parallel runtime ([`Parallelism`], scoped worker pool) |
-//! | [`mech`] | 3.1, 7 | Laplace / geometric / exponential mechanisms, sampling amplification |
+//! | [`mech`] | 3.1, 7 | Laplace and geometric mechanisms, sampling amplification |
 //! | [`median`] | 6.1 | private medians: exponential, smooth sensitivity, noisy mean, cell-based |
 //! | [`budget`] | 4.2, 6.2 | per-level budget strategies and path-composition auditing |
 //! | [`tree`] | 3.3, 6, 7 | PSD construction, pruning, and the publishable [`ReleasedSynopsis`] |

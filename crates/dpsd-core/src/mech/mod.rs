@@ -4,18 +4,17 @@
 //!   Laplace-noise sampler.
 //! * [`geometric`] — the two-sided geometric mechanism of Ghosh et al.,
 //!   an integer-valued alternative for count release.
-//! * [`exponential`] — a generic exponential mechanism (McSherry-Talwar)
-//!   over finitely many weighted intervals; the private-median mechanism
-//!   of Definition 5 is built on it.
 //! * [`sampling`] — privacy amplification by Bernoulli sampling
 //!   (Theorem 7).
+//!
+//! The exponential mechanism of the private median (Definition 5) lives
+//! with the other median mechanisms, in
+//! [`crate::median::exponential_median`].
 
-pub mod exponential;
 pub mod geometric;
 pub mod laplace;
 pub mod sampling;
 
-pub use exponential::{sample_weighted_interval, WeightedInterval};
 pub use geometric::{geometric_mechanism, sample_two_sided_geometric};
 pub use laplace::{laplace_mechanism, laplace_variance, sample_laplace};
 pub use sampling::{

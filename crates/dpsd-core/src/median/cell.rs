@@ -106,166 +106,14 @@ impl CellGrid1D {
     }
 }
 
-/// A two-dimensional noisy grid over a rectangle, used by the `kd-cell`
-/// tree to choose splits and to test node uniformity.
-#[derive(Debug, Clone)]
-pub struct CellGrid2D {
-    rect: Rect,
-    nx: usize,
-    ny: usize,
-    counts: Vec<f64>, // row-major: counts[iy * nx + ix]
-}
-
-impl CellGrid2D {
-    /// Builds the grid with `Lap(1/eps)` noise per cell.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is zero cells, the rectangle has zero
-    /// area, or `eps <= 0`.
-    pub fn build<R: Rng + ?Sized>(
-        rng: &mut R,
-        points: &[Point],
-        rect: Rect,
-        nx: usize,
-        ny: usize,
-        eps: f64,
-    ) -> Self {
-        assert!(nx > 0 && ny > 0, "grid needs at least one cell per axis");
-        assert!(rect.area() > 0.0, "grid rectangle must have positive area");
-        assert!(eps > 0.0, "eps must be positive, got {eps}");
-        let wx = rect.width() / nx as f64;
-        let wy = rect.height() / ny as f64;
-        let mut counts = vec![0.0f64; nx * ny];
-        for p in points {
-            if !rect.contains(*p) {
-                continue;
-            }
-            let ix = (((p.x() - rect.min_x()) / wx) as usize).min(nx - 1);
-            let iy = (((p.y() - rect.min_y()) / wy) as usize).min(ny - 1);
-            counts[iy * nx + ix] += 1.0;
-        }
-        for c in counts.iter_mut() {
-            *c = laplace_mechanism(rng, *c, 1.0, eps);
-        }
-        CellGrid2D {
-            rect,
-            nx,
-            ny,
-            counts,
-        }
-    }
-
-    /// Grid resolution `(nx, ny)`.
-    pub fn resolution(&self) -> (usize, usize) {
-        (self.nx, self.ny)
-    }
-
-    /// The gridded rectangle.
-    pub fn rect(&self) -> &Rect {
-        &self.rect
-    }
-
-    /// Noisy count of a region (cells prorated by overlap area; negative
-    /// cells clamped to zero).
-    pub fn noisy_count_in(&self, region: &Rect) -> f64 {
-        let mut total = 0.0;
-        self.for_overlapping(region, |_, _, mass| total += mass);
-        total
-    }
-
-    /// Estimated median coordinate along `axis` (`0 = x, 1 = y`) of the
-    /// data inside `region`, from the noisy marginal. Falls back to the
-    /// region midline when no mass remains.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `axis >= 2` (the grid is two-dimensional).
-    pub fn median_along(&self, axis: usize, region: &Rect) -> f64 {
-        assert!(axis < 2, "CellGrid2D has axes 0 and 1, got {axis}");
-        let (lo, hi) = region.extent(axis);
-        let bins = if axis == 0 { self.nx } else { self.ny };
-        let mut marginal = vec![0.0f64; bins];
-        self.for_overlapping(region, |ix, iy, mass| {
-            let i = if axis == 0 { ix } else { iy };
-            marginal[i] += mass;
-        });
-        let total: f64 = marginal.iter().sum();
-        if total <= 0.0 {
-            return lo + (hi - lo) / 2.0;
-        }
-        let (axis_lo, cell_w) = if axis == 0 {
-            (self.rect.min_x(), self.rect.width() / self.nx as f64)
-        } else {
-            (self.rect.min_y(), self.rect.height() / self.ny as f64)
-        };
-        let half = total / 2.0;
-        let mut cum = 0.0;
-        for (i, &m) in marginal.iter().enumerate() {
-            if m > 0.0 && cum + m >= half {
-                let c_lo = (axis_lo + i as f64 * cell_w).max(lo);
-                let c_hi = (axis_lo + (i + 1) as f64 * cell_w).min(hi);
-                let frac = ((half - cum) / m).clamp(0.0, 1.0);
-                return (c_lo + frac * (c_hi - c_lo)).clamp(lo, hi);
-            }
-            cum += m;
-        }
-        lo + (hi - lo) / 2.0
-    }
-
-    /// A uniformity score for `region` in `[0, inf)`: the mean absolute
-    /// deviation of per-cell noisy masses from their mean, normalized by
-    /// the mean. Xiao et al. \[26\] stop splitting nodes deemed uniform;
-    /// the `kd-cell` builder treats scores below a threshold as uniform.
-    /// Regions with no positive mass score 0 (nothing left to split).
-    pub fn uniformity_score(&self, region: &Rect) -> f64 {
-        let mut masses = Vec::new();
-        self.for_overlapping(region, |_, _, mass| masses.push(mass));
-        if masses.is_empty() {
-            return 0.0;
-        }
-        let mean = masses.iter().sum::<f64>() / masses.len() as f64;
-        if mean <= 0.0 {
-            return 0.0;
-        }
-        let mad = masses.iter().map(|m| (m - mean).abs()).sum::<f64>() / masses.len() as f64;
-        mad / mean
-    }
-
-    /// Visits every cell overlapping `region` with its prorated
-    /// (clamped-non-negative) mass.
-    fn for_overlapping<F: FnMut(usize, usize, f64)>(&self, region: &Rect, mut f: F) {
-        let clip = match self.rect.intersection(region) {
-            Some(c) if c.area() > 0.0 || region.area() == 0.0 => c,
-            _ => return,
-        };
-        let wx = self.rect.width() / self.nx as f64;
-        let wy = self.rect.height() / self.ny as f64;
-        let ix0 = (((clip.min_x() - self.rect.min_x()) / wx) as usize).min(self.nx - 1);
-        let ix1 = (((clip.max_x() - self.rect.min_x()) / wx) as usize).min(self.nx - 1);
-        let iy0 = (((clip.min_y() - self.rect.min_y()) / wy) as usize).min(self.ny - 1);
-        let iy1 = (((clip.max_y() - self.rect.min_y()) / wy) as usize).min(self.ny - 1);
-        for iy in iy0..=iy1 {
-            let c_ylo = self.rect.min_y() + iy as f64 * wy;
-            let fy = ((clip.max_y().min(c_ylo + wy) - clip.min_y().max(c_ylo)) / wy).max(0.0);
-            for ix in ix0..=ix1 {
-                let c_xlo = self.rect.min_x() + ix as f64 * wx;
-                let fx = ((clip.max_x().min(c_xlo + wx) - clip.min_x().max(c_xlo)) / wx).max(0.0);
-                let mass = self.counts[iy * self.nx + ix].max(0.0) * fx * fy;
-                f(ix, iy, mass);
-            }
-        }
-    }
-}
-
-/// A `D`-dimensional noisy grid over a box — the generalization of
-/// [`CellGrid2D`] used by the dimension-generic `kd-cell` builder.
+/// A `D`-dimensional noisy grid over a box, used by the `kd-cell` tree
+/// to choose splits and to test node uniformity.
 ///
 /// Cell counts are stored in a flat vector with axis 0 fastest
 /// (`idx = i_0 + n_0 · (i_1 + n_1 · (i_2 + …))`) and perturbed once
 /// with `Lap(1/eps)` each, in that linear order. Region reads prorate
 /// boundary cells by per-axis overlap fractions and clamp negative
-/// noisy cells to zero mass, exactly like the planar grid.
+/// noisy cells to zero mass.
 #[derive(Debug, Clone)]
 pub struct CellGridNd<const D: usize> {
     rect: Rect<D>,
@@ -369,10 +217,11 @@ impl<const D: usize> CellGridNd<D> {
         lo + (hi - lo) / 2.0
     }
 
-    /// Uniformity score of `region` — the mean absolute deviation of
-    /// per-cell noisy masses from their mean, normalized by the mean
-    /// (see [`CellGrid2D::uniformity_score`]). Regions with no positive
-    /// mass score 0.
+    /// A uniformity score for `region` in `[0, inf)`: the mean absolute
+    /// deviation of per-cell noisy masses from their mean, normalized by
+    /// the mean. Xiao et al. \[26\] stop splitting nodes deemed uniform;
+    /// the `kd-cell` builder treats scores below a threshold as uniform.
+    /// Regions with no positive mass score 0 (nothing left to split).
     pub fn uniformity_score(&self, region: &Rect<D>) -> f64 {
         let mut masses = Vec::new();
         self.for_overlapping(region, |_, mass| masses.push(mass));
@@ -394,34 +243,32 @@ impl<const D: usize> CellGridNd<D> {
             Some(c) if c.area() > 0.0 || region.area() == 0.0 => c,
             _ => return,
         };
-        // Per-axis overlapped index ranges and overlap fractions.
-        let mut i0 = [0usize; D];
-        let mut i1 = [0usize; D];
-        let mut fracs: [Vec<f64>; D] = std::array::from_fn(|_| Vec::new());
-        for k in 0..D {
-            let w = self.rect.side(k) / self.res[k] as f64;
-            i0[k] = (((clip.min[k] - self.rect.min[k]) / w) as usize).min(self.res[k] - 1);
-            i1[k] = (((clip.max[k] - self.rect.min[k]) / w) as usize).min(self.res[k] - 1);
-            for i in i0[k]..=i1[k] {
-                let c_lo = self.rect.min[k] + i as f64 * w;
-                let frac = ((clip.max[k].min(c_lo + w) - clip.min[k].max(c_lo)) / w).max(0.0);
-                fracs[k].push(frac);
-            }
-        }
+        let width: [f64; D] = std::array::from_fn(|k| self.rect.side(k) / self.res[k] as f64);
+        let cell_of =
+            |k: usize, x: f64| (((x - self.rect.min[k]) / width[k]) as usize).min(self.res[k] - 1);
+        // The share of cell `i`'s extent along axis `k` inside the clip.
+        let overlap = |k: usize, i: usize| {
+            let c_lo = self.rect.min[k] + i as f64 * width[k];
+            ((clip.max[k].min(c_lo + width[k]) - clip.min[k].max(c_lo)) / width[k]).max(0.0)
+        };
+        let i0: [usize; D] = std::array::from_fn(|k| cell_of(k, clip.min[k]));
+        let i1: [usize; D] = std::array::from_fn(|k| cell_of(k, clip.max[k]));
         let mut strides = [1usize; D];
         for k in 1..D {
             strides[k] = strides[k - 1] * self.res[k - 1];
         }
-        // Odometer over the overlapped sub-box.
+        // Odometer over the overlapped sub-box; an axis' fraction is
+        // recomputed only when that axis' index moves.
         let mut idx = i0;
+        let mut fracs: [f64; D] = std::array::from_fn(|k| overlap(k, i0[k]));
         loop {
-            let mut linear = 0usize;
-            let mut frac = 1.0f64;
-            for k in 0..D {
-                linear += idx[k] * strides[k];
-                frac *= fracs[k][idx[k] - i0[k]];
-            }
-            f(&idx, self.counts[linear].max(0.0) * frac);
+            let linear: usize = (0..D).map(|k| idx[k] * strides[k]).sum();
+            // Multiply in axis order, `(c · f_0) · f_1 · …`: the pinned
+            // release bytes depend on this rounding order.
+            let mass = fracs
+                .iter()
+                .fold(self.counts[linear].max(0.0), |m, &fk| m * fk);
+            f(&idx, mass);
             let mut k = 0;
             loop {
                 if k == D {
@@ -429,9 +276,11 @@ impl<const D: usize> CellGridNd<D> {
                 }
                 idx[k] += 1;
                 if idx[k] <= i1[k] {
+                    fracs[k] = overlap(k, idx[k]);
                     break;
                 }
                 idx[k] = i0[k];
+                fracs[k] = overlap(k, i0[k]);
                 k += 1;
             }
         }
@@ -482,7 +331,7 @@ mod tests {
         let points: Vec<Point> = (0..40_000)
             .map(|i| Point::new((i % 200) as f64 / 2.0, ((i / 200) % 200) as f64 / 2.0))
             .collect();
-        let grid = CellGrid2D::build(&mut rng, &points, rect, 64, 64, 1.0);
+        let grid = CellGridNd::<2>::build(&mut rng, &points, rect, [64, 64], 1.0);
         let mx = grid.median_along(0, &rect);
         let my = grid.median_along(1, &rect);
         assert!((mx - 50.0).abs() < 5.0, "x median {mx}");
@@ -505,8 +354,8 @@ mod tests {
         let clustered: Vec<Point> = (0..16_384)
             .map(|i| Point::new(1.0 + (i % 7) as f64 * 0.1, 1.0 + (i % 5) as f64 * 0.1))
             .collect();
-        let g_u = CellGrid2D::build(&mut rng, &uniform, rect, 16, 16, 5.0);
-        let g_c = CellGrid2D::build(&mut rng, &clustered, rect, 16, 16, 5.0);
+        let g_u = CellGridNd::<2>::build(&mut rng, &uniform, rect, [16, 16], 5.0);
+        let g_c = CellGridNd::<2>::build(&mut rng, &clustered, rect, [16, 16], 5.0);
         let s_u = g_u.uniformity_score(&rect);
         let s_c = g_c.uniformity_score(&rect);
         assert!(
@@ -524,7 +373,7 @@ mod tests {
         let points: Vec<Point> = (0..10_000)
             .map(|i| Point::new((i % 100) as f64, 50.0))
             .collect();
-        let grid = CellGrid2D::build(&mut rng, &points, rect, 50, 50, 2.0);
+        let grid = CellGridNd::<2>::build(&mut rng, &points, rect, [50, 50], 2.0);
         let sub = Rect::new(0.0, 0.0, 40.0, 100.0).unwrap();
         let med = grid.median_along(0, &sub);
         assert!((0.0..=40.0).contains(&med), "median {med} inside subregion");
@@ -534,7 +383,7 @@ mod tests {
     fn grid2d_disjoint_region_is_empty() {
         let mut rng = seeded(47);
         let rect = Rect::new(0.0, 0.0, 10.0, 10.0).unwrap();
-        let grid = CellGrid2D::build(&mut rng, &[], rect, 4, 4, 1.0);
+        let grid = CellGridNd::<2>::build(&mut rng, &[], rect, [4, 4], 1.0);
         let far = Rect::new(100.0, 100.0, 200.0, 200.0).unwrap();
         assert_eq!(grid.noisy_count_in(&far), 0.0);
         assert_eq!(grid.uniformity_score(&far), 0.0);
@@ -549,27 +398,56 @@ mod tests {
 
     #[test]
     fn gridnd_matches_grid2d_semantics_in_the_plane() {
-        // Same data, same region reads: the D-generic grid and the
-        // planar grid agree closely (they draw independent noise, so
-        // comparisons are statistical, at high eps).
+        // The planar read, written out: rows outer, columns inner, each
+        // clamped count prorated as `(c · fx) · fy`. Counts, medians and
+        // uniformity scores must agree with it to the bit.
         let rect = Rect::new(0.0, 0.0, 100.0, 100.0).unwrap();
         let points: Vec<Point> = (0..40_000)
             .map(|i| Point::new((i % 200) as f64 / 2.0, ((i / 200) % 200) as f64 / 2.0))
             .collect();
         let mut rng = seeded(48);
-        let g2 = CellGrid2D::build(&mut rng, &points, rect, 32, 32, 50.0);
-        let mut rng = seeded(49);
-        let gn = CellGridNd::<2>::build(&mut rng, &points, rect, [32, 32], 50.0);
-        assert_eq!(gn.resolution(), [32, 32]);
-        assert_eq!(gn.rect(), &rect);
-        let sub = Rect::new(10.0, 20.0, 70.0, 90.0).unwrap();
-        assert!((g2.noisy_count_in(&sub) - gn.noisy_count_in(&sub)).abs() < 200.0);
-        for axis in 0..2 {
-            let m2 = g2.median_along(axis, &sub);
-            let mn = gn.median_along(axis, &sub);
-            assert!((m2 - mn).abs() < 4.0, "axis {axis}: {m2} vs {mn}");
+        let grid = CellGridNd::<2>::build(&mut rng, &points, rect, [32, 24], 0.5);
+        assert_eq!(grid.resolution(), [32, 24]);
+        assert_eq!(grid.rect(), &rect);
+        let sub = Rect::new(10.3, 20.7, 70.1, 90.9).unwrap();
+        let (wx, wy) = (100.0 / 32.0, 100.0 / 24.0);
+        let frac =
+            |lo: f64, hi: f64, c_lo: f64, w: f64| ((hi.min(c_lo + w) - lo.max(c_lo)) / w).max(0.0);
+        let mut cells = Vec::new(); // (ix, mass) in visiting order
+        for iy in (20.7 / wy) as usize..=(90.9 / wy) as usize {
+            let fy = frac(20.7, 90.9, iy as f64 * wy, wy);
+            for ix in (10.3 / wx) as usize..=(70.1 / wx) as usize {
+                let fx = frac(10.3, 70.1, ix as f64 * wx, wx);
+                cells.push((ix, grid.counts[iy * 32 + ix].max(0.0) * fx * fy));
+            }
         }
-        assert!((g2.uniformity_score(&sub) - gn.uniformity_score(&sub)).abs() < 0.2);
+        let masses: Vec<f64> = cells.iter().map(|&(_, m)| m).collect();
+        let mut marginal_x = [0.0f64; 32];
+        for &(ix, m) in &cells {
+            marginal_x[ix] += m;
+        }
+        let total: f64 = masses.iter().sum();
+        assert_eq!(grid.noisy_count_in(&sub).to_bits(), total.to_bits());
+        let mean = total / masses.len() as f64;
+        let mad = masses.iter().map(|m| (m - mean).abs()).sum::<f64>() / masses.len() as f64;
+        assert_eq!(
+            grid.uniformity_score(&sub).to_bits(),
+            (mad / mean).to_bits()
+        );
+        let marginal_total: f64 = marginal_x.iter().sum();
+        let (mut cum, half) = (0.0, marginal_total / 2.0);
+        let mut expected = f64::NAN;
+        for (i, &m) in marginal_x.iter().enumerate() {
+            if m > 0.0 && cum + m >= half {
+                let c_lo = (i as f64 * wx).max(10.3);
+                let c_hi = ((i + 1) as f64 * wx).min(70.1);
+                let f = ((half - cum) / m).clamp(0.0, 1.0);
+                expected = (c_lo + f * (c_hi - c_lo)).clamp(10.3, 70.1);
+                break;
+            }
+            cum += m;
+        }
+        assert_eq!(grid.median_along(0, &sub).to_bits(), expected.to_bits());
     }
 
     #[test]

@@ -10,9 +10,11 @@ use rand::SeedableRng;
 
 /// Creates the workspace-standard seeded generator.
 ///
-/// `StdRng` (currently ChaCha12) is used rather than a small fast RNG:
-/// noise quality matters for a privacy mechanism, and generation is never
-/// a bottleneck next to tree construction.
+/// `StdRng` here is the vendored `rand` shim's xoshiro256\*\* seeded
+/// through SplitMix64, not the ChaCha12 of the published crate: it is
+/// statistically strong and reproducible per seed, but not
+/// cryptographic, so an analyst who learns or guesses the seed can
+/// replay the noise (ROADMAP item G).
 pub fn seeded(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
 }

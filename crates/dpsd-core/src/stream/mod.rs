@@ -214,8 +214,6 @@ pub struct StreamConfig<const D: usize = 2> {
     pub budget_cap: f64,
     /// Base RNG seed; epoch `e` noise uses [`epoch_seed`]`(seed, e)`.
     pub seed: u64,
-    /// Run OLS post-processing on each release (the batch default).
-    pub postprocess: bool,
     /// Sliding window in epochs: `Some(W)` makes every release cover
     /// only the last `W` epochs' points; `None` keeps the
     /// growing-prefix model. See the module docs.
@@ -228,7 +226,8 @@ pub struct StreamConfig<const D: usize = 2> {
 }
 
 impl<const D: usize> StreamConfig<D> {
-    /// A streaming config with post-processing on (the batch default).
+    /// A streaming config without a window or a user cap. Every
+    /// release is post-processed with OLS, like the batch default.
     pub fn new(
         domain: Rect<D>,
         height: usize,
@@ -242,7 +241,6 @@ impl<const D: usize> StreamConfig<D> {
             schedule,
             budget_cap,
             seed,
-            postprocess: true,
             window: None,
             user_cap: None,
         }
@@ -594,10 +592,8 @@ impl<const D: usize> StreamIngestor<D> {
             vec![0.0; h + 1],
             eps,
         );
-        if self.config.postprocess {
-            let beta = crate::postprocess::ols_postprocess(&tree);
-            tree.set_posted(beta);
-        }
+        let beta = crate::postprocess::ols_postprocess(&tree);
+        tree.set_posted(beta);
         let release = EpochRelease {
             epoch: self.epoch,
             epsilon: eps,
@@ -783,7 +779,6 @@ pub fn batch_config_for<const D: usize>(config: &StreamConfig<D>, epoch: u64) ->
         config.schedule.epoch_epsilon(epoch),
     )
     .with_seed(epoch_seed(config.seed, epoch))
-    .with_postprocess(config.postprocess)
 }
 
 /// Quantizes a point to the fine monitoring grid: `SKETCH_GRID` cells

@@ -18,13 +18,14 @@
 //! loop: tree-backed synopses answer a whole workload in **one shared
 //! traversal** that visits each node at most once and filters the set of
 //! still-active queries as it descends (see
-//! [`crate::query::range_query_batch`]). Per-node work — the leaf test,
-//! the count-column read — is paid once per node instead of once per
-//! query-node pair, which is what makes batch evaluation measurably
-//! faster than repeated single queries and gives a natural unit for
-//! parallel sharding: [`ParallelQuery`] (implemented for every `Sync`
-//! synopsis) shards a workload across the [`crate::exec`] worker pool
-//! with answers guaranteed bit-identical to the sequential path.
+//! [`crate::query::range_query_batch`]), with answers bit-identical to
+//! repeated single queries. Whether that is faster depends on the tree:
+//! the `batch_query` bench reads it slower than a loop of single queries
+//! on `batch_query_1000/h7` and, in most runs, faster on
+//! `batch_query_1000/h9`. A batch is also the natural unit for parallel
+//! sharding: [`ParallelQuery`] (implemented for every `Sync` synopsis)
+//! shards a workload across the [`crate::exec`] worker pool with answers
+//! guaranteed bit-identical to the sequential path.
 
 use crate::exec::{self, Parallelism};
 use crate::geometry::Rect;

@@ -30,9 +30,7 @@
 //! ([`crate::median::CellGridNd`]), and `HilbertR` linearizes the
 //! domain with a `D`-dimensional space-filling curve
 //! ([`dpsd_hilbert::NdCurve`]) — Hilbert by default, Z-order/Morton
-//! when selected via [`PsdConfig::with_curve`]. At `D = 2` both
-//! families dispatch to their original planar builders, so planar
-//! output is bit-for-bit identical to the pre-generic pipeline.
+//! when selected via [`PsdConfig::with_curve`].
 
 use crate::budget::{audit_path_epsilon, median_levels, BudgetSplit, CountBudget};
 use crate::error::DpsdError;
@@ -381,9 +379,7 @@ impl<const D: usize> PsdConfig<D> {
     /// Selects the space-filling curve for `HilbertR` builds. The
     /// default Hilbert curve has the locality guarantee (consecutive
     /// indices are adjacent cells); [`CurveKind::ZOrder`] trades that
-    /// for cheaper encoding. At `D = 2` the Hilbert choice runs the
-    /// original planar pipeline bit-for-bit; Z-order always uses the
-    /// dimension-generic curve.
+    /// for cheaper encoding.
     pub fn with_curve(mut self, curve: CurveKind) -> Self {
         self.curve = curve;
         self
@@ -458,41 +454,6 @@ impl<const D: usize> PsdConfig<D> {
         let mut rects = vec![self.domain; m];
         let mut true_counts = vec![0.0f64; m];
         match self.kind {
-            // At D = 2 the grid and Hilbert families keep their
-            // dedicated planar builders (so planar output stays
-            // bit-for-bit identical to the pre-generic pipeline); the
-            // coordinate bridge below is a lossless copy. Other
-            // dimensions — and the Z-order curve in any dimension — go
-            // through the dimension-generic builders.
-            TreeKind::HilbertR | TreeKind::KdCell
-                if D == 2
-                    && (self.kind == TreeKind::KdCell || self.curve == CurveKind::Hilbert) =>
-            {
-                let config2 = self.as_planar();
-                let pts2: Vec<Point<2>> = points.iter().map(point_to_planar).collect();
-                let mut rects2 = vec![config2.domain; m];
-                match self.kind {
-                    TreeKind::HilbertR => super::hilbert_rtree::build_structure(
-                        &config2,
-                        &eps_median,
-                        &pts2,
-                        &mut rects2,
-                        &mut true_counts,
-                        &mut rng,
-                    )?,
-                    _ => super::kdcell::build_structure(
-                        &config2,
-                        eps_median_total,
-                        &pts2,
-                        &mut rects2,
-                        &mut true_counts,
-                        &mut rng,
-                    )?,
-                }
-                for (dst, src) in rects.iter_mut().zip(&rects2) {
-                    *dst = rect_from_planar(src);
-                }
-            }
             TreeKind::HilbertR => {
                 super::hilbert_rtree::build_structure_nd(
                     self,
@@ -569,29 +530,6 @@ impl<const D: usize> PsdConfig<D> {
         Ok(tree)
     }
 
-    /// The same configuration over the planar geometry types. Only valid
-    /// when `D == 2` (checked by the build dispatch); used to bridge
-    /// into the dedicated planar `KdCell`/`HilbertR` structure builders.
-    fn as_planar(&self) -> PsdConfig<2> {
-        debug_assert_eq!(D, 2, "as_planar requires a two-dimensional config");
-        PsdConfig {
-            kind: self.kind,
-            domain: rect_to_planar(&self.domain),
-            height: self.height,
-            epsilon: self.epsilon,
-            count_budget: self.count_budget.clone(),
-            split: self.split,
-            median: self.median,
-            switch_levels: self.switch_levels,
-            grid_resolution: self.grid_resolution,
-            hilbert_order: self.hilbert_order,
-            curve: self.curve,
-            postprocess: self.postprocess,
-            prune_threshold: self.prune_threshold,
-            seed: self.seed,
-        }
-    }
-
     fn validate(&self, points: &[Point<D>]) -> Result<(), BuildError> {
         if D == 0 {
             return Err(BuildError::UnsupportedDimension {
@@ -642,34 +580,6 @@ impl<const D: usize> PsdConfig<D> {
             return Err(BuildError::PointOutsideDomain(p.coords.to_vec()));
         }
         Ok(())
-    }
-}
-
-/// Copies the first two coordinates of a point into the planar type.
-/// Callers guarantee `D >= 2` (slice indexing keeps the bound check at
-/// runtime so other instantiations still compile).
-fn point_to_planar<const D: usize>(p: &Point<D>) -> Point<2> {
-    let c = p.coords.as_slice();
-    Point::new(c[0], c[1])
-}
-
-/// Widens a planar rectangle back into `Rect<D>` (callers guarantee
-/// `D == 2`).
-fn rect_from_planar<const D: usize>(r: &Rect<2>) -> Rect<D> {
-    let mut min = [0.0; D];
-    let mut max = [0.0; D];
-    min.as_mut_slice()[..2].copy_from_slice(&r.min);
-    max.as_mut_slice()[..2].copy_from_slice(&r.max);
-    Rect { min, max }
-}
-
-/// Narrows a `Rect<D>` to its first two axes (callers guarantee
-/// `D >= 2`).
-fn rect_to_planar<const D: usize>(r: &Rect<D>) -> Rect<2> {
-    let (min, max) = (r.min.as_slice(), r.max.as_slice());
-    Rect {
-        min: [min[0], min[1]],
-        max: [max[0], max[1]],
     }
 }
 

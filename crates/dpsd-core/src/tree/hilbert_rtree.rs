@@ -1,28 +1,27 @@
 //! Private Hilbert R-tree structure (paper Sections 3.2-3.3).
 //!
-//! Points are mapped to their indices on a Hilbert curve over the domain
-//! (order 18 by default, Section 8.2); a one-dimensional private
+//! Points are mapped to their indices on a space-filling curve over the
+//! domain (order 18 by default, Section 8.2); a one-dimensional private
 //! decomposition — a binary kd-tree over index values, flattened to
-//! fanout 4 like every other family — is built with the configured
+//! fanout `2^D` like every other family — is built with the configured
 //! median mechanism; and each node's rectangle is the bounding box of
-//! its *index range*, computed by [`dpsd_hilbert::HilbertCurve::range_bbox`].
+//! its *index range*, computed by [`dpsd_hilbert::NdCurve::range_bbox`].
 //! Because the bounding box is a function of the (privately chosen) range
 //! endpoints only, releasing the rectangles costs no extra budget.
 //!
-//! Unlike the planar families, sibling rectangles may overlap and need
-//! not tile the parent (R-tree semantics); the canonical query method
-//! still applies because each node's *points* are exactly those with
-//! indices in its range, and they all lie inside its rectangle.
+//! Unlike the axis-splitting families, sibling rectangles may overlap
+//! and need not tile the parent (R-tree semantics); the canonical query
+//! method still applies because each node's *points* are exactly those
+//! with indices in its range, and they all lie inside its rectangle.
 
 use super::build::{partition_in_place, BuildError, PsdConfig, TreeKind};
 use crate::geometry::{Point, Rect};
 use crate::median::MedianSelector;
-use dpsd_hilbert::{HilbertCurve, NdCurve};
+use dpsd_hilbert::NdCurve;
 use rand::rngs::StdRng;
 
-/// Selects a private split index inside `[lo, hi)` (shared by the
-/// planar and the dimension-generic builders; index values stay exact
-/// in `f64` because build validation caps `order * D` at 52 bits).
+/// Selects a private split index inside `[lo, hi)` (index values stay
+/// exact in `f64` because build validation caps `order * D` at 52 bits).
 fn split_index(
     selector: &MedianSelector,
     rng: &mut StdRng,
@@ -45,140 +44,19 @@ fn split_index(
     (picked.round() as u64).clamp(lo + 1, hi - 1)
 }
 
-/// Builds rectangles and exact counts for a Hilbert R-tree.
-pub(crate) fn build_structure(
-    config: &PsdConfig,
-    eps_median: &[f64],
-    points: &[Point],
-    rects: &mut [Rect],
-    true_counts: &mut [f64],
-    rng: &mut StdRng,
-) -> Result<(), BuildError> {
-    debug_assert_eq!(config.kind, TreeKind::HilbertR);
-    let curve = HilbertCurve::new(config.hilbert_order)
-        .map_err(|_| BuildError::InvalidHilbertOrder(config.hilbert_order))?;
-    let domain = config.domain;
-    let side = curve.side() as f64;
-    let wx = domain.width() / side;
-    let wy = domain.height() / side;
-
-    // Map every point to its curve index. Order <= 26 keeps indices exact
-    // in f64 for the median mechanisms.
-    let mut indices: Vec<u64> = points
-        .iter()
-        .map(|p| {
-            let cx = (((p.x() - domain.min_x()) / wx) as u32).min(curve.side() - 1);
-            let cy = (((p.y() - domain.min_y()) / wy) as u32).min(curve.side() - 1);
-            curve.encode(cx, cy)
-        })
-        .collect();
-
-    let cell_rect = |bbox: dpsd_hilbert::CellBBox| -> Rect {
-        Rect {
-            min: [
-                domain.min_x() + bbox.min_x as f64 * wx,
-                domain.min_y() + bbox.min_y as f64 * wy,
-            ],
-            max: [
-                domain.min_x() + (bbox.max_x as f64 + 1.0) * wx,
-                domain.min_y() + (bbox.max_y as f64 + 1.0) * wy,
-            ],
-        }
-    };
-    let range_rect = |lo: u64, hi: u64| -> Rect {
-        if hi > lo {
-            cell_rect(curve.range_bbox(lo, hi - 1))
-        } else {
-            // Empty index range: a zero-area rectangle at the range
-            // position keeps geometry well-defined; such nodes hold no
-            // points and contribute only their (near-zero) noise.
-            let (cx, cy) = curve.decode(lo.min(curve.max_index()));
-            let x = domain.min_x() + cx as f64 * wx;
-            let y = domain.min_y() + cy as f64 * wy;
-            Rect {
-                min: [x, y],
-                max: [x, y],
-            }
-        }
-    };
-
-    #[allow(clippy::too_many_arguments)]
-    fn recurse(
-        config: &PsdConfig,
-        eps_median: &[f64],
-        rng: &mut StdRng,
-        v: usize,
-        depth: usize,
-        lo: u64,
-        hi: u64,
-        idx: &mut [u64],
-        rects: &mut [Rect],
-        true_counts: &mut [f64],
-        range_rect: &dyn Fn(u64, u64) -> Rect,
-    ) {
-        rects[v] = range_rect(lo, hi);
-        true_counts[v] = idx.len() as f64;
-        if depth == config.height {
-            return;
-        }
-        let level = config.height - depth;
-        let eps_stage = eps_median[level] / 2.0;
-        // Flattened node: one split, then one split per half.
-        let s = split_index(&config.median, rng, idx, lo, hi, eps_stage);
-        let mid = partition_in_place(idx, |&i| i < s);
-        let (low_half, high_half) = idx.split_at_mut(mid);
-        let s_low = split_index(&config.median, rng, low_half, lo, s, eps_stage);
-        let s_high = split_index(&config.median, rng, high_half, s, hi, eps_stage);
-        let mid_low = partition_in_place(low_half, |&i| i < s_low);
-        let (c0, c1) = low_half.split_at_mut(mid_low);
-        let mid_high = partition_in_place(high_half, |&i| i < s_high);
-        let (c2, c3) = high_half.split_at_mut(mid_high);
-        let ranges = [(lo, s_low), (s_low, s), (s, s_high), (s_high, hi)];
-        let slices = [c0, c1, c2, c3];
-        let first_child = 4 * v + 1;
-        for (j, ((r_lo, r_hi), slice)) in ranges.into_iter().zip(slices).enumerate() {
-            recurse(
-                config,
-                eps_median,
-                rng,
-                first_child + j,
-                depth + 1,
-                r_lo,
-                r_hi,
-                slice,
-                rects,
-                true_counts,
-                range_rect,
-            );
-        }
-    }
-
-    recurse(
-        config,
-        eps_median,
-        rng,
-        0,
-        0,
-        0,
-        curve.cell_count(),
-        &mut indices,
-        rects,
-        true_counts,
-        &range_rect,
-    );
-    Ok(())
-}
-
-/// Builds boxes and exact counts for a Hilbert R-tree in any dimension
-/// (and for the Z-order variant in any dimension, including 2): points
-/// map to indices on an [`NdCurve`] of the configured [`PsdConfig::curve`]
-/// kind, a fanout-`2^D` decomposition is built over index values by `D`
-/// rounds of private binary range splits (the level's median budget
-/// divided evenly over the rounds, mirroring the axis-sequential
-/// pipeline), and each node's box is the exact bounding box of its index
-/// range via [`NdCurve::range_bbox`]. The planar Hilbert path keeps its
-/// dedicated builder ([`build_structure`]) so `D = 2` output stays
-/// bit-for-bit identical to the pre-generic pipeline.
+/// Builds boxes and exact counts for a Hilbert R-tree (or its Z-order
+/// variant) in any dimension: points map to indices on an [`NdCurve`]
+/// of the configured [`PsdConfig::curve`] kind, a fanout-`2^D`
+/// decomposition is built over index values by `D` rounds of private
+/// binary range splits (the level's median budget divided evenly over
+/// the rounds, mirroring the axis-sequential pipeline), and each node's
+/// box is the exact bounding box of its index range.
+///
+/// Only bottom-level nodes and empty ranges call
+/// [`NdCurve::range_bbox`]; every other node takes the union of its
+/// non-empty children's boxes. That union is exact: the children's
+/// ranges partition the node's range, and the cell-to-coordinate map
+/// is monotone, so it yields the very bits `range_bbox` would.
 pub(crate) fn build_structure_nd<const D: usize>(
     config: &PsdConfig<D>,
     eps_median: &[f64],
@@ -220,7 +98,8 @@ pub(crate) fn build_structure_nd<const D: usize>(
             Rect { min, max }
         } else {
             // Empty index range: a zero-volume box at the range position
-            // keeps geometry well-defined (same convention as 2-D).
+            // keeps geometry well-defined; such nodes hold no points and
+            // contribute only their (near-zero) noise.
             let cell = curve.decode(lo.min(curve.max_index()));
             let mut min = [0.0f64; D];
             for k in 0..D {
@@ -244,9 +123,9 @@ pub(crate) fn build_structure_nd<const D: usize>(
         true_counts: &mut [f64],
         range_rect: &dyn Fn(u64, u64) -> Rect<D>,
     ) {
-        rects[v] = range_rect(lo, hi);
         true_counts[v] = idx.len() as f64;
         if depth == config.height {
+            rects[v] = range_rect(lo, hi);
             return;
         }
         let level = config.height - depth;
@@ -282,6 +161,19 @@ pub(crate) fn build_structure_nd<const D: usize>(
                 range_rect,
             );
         }
+        rects[v] = pieces
+            .iter()
+            .enumerate()
+            .filter(|&(_, &(r_lo, r_hi, _, _))| r_hi > r_lo)
+            .map(|(j, _)| rects[first_child + j])
+            .reduce(|mut b, c| {
+                for k in 0..D {
+                    b.min[k] = b.min[k].min(c.min[k]);
+                    b.max[k] = b.max[k].max(c.max[k]);
+                }
+                b
+            })
+            .unwrap_or_else(|| range_rect(lo, hi));
     }
 
     recurse(

@@ -15,110 +15,20 @@
 
 use super::build::{partition_in_place, BuildError, PsdConfig, TreeKind};
 use crate::geometry::{Point, Rect};
-use crate::median::{CellGrid2D, CellGridNd};
+use crate::median::CellGridNd;
 use rand::rngs::StdRng;
 
 /// Uniformity-score threshold below which a region is considered uniform
-/// and split at its midpoint (see [`CellGrid2D::uniformity_score`]).
+/// and split at its midpoint (see [`CellGridNd::uniformity_score`]).
 const UNIFORMITY_THRESHOLD: f64 = 0.4;
 
-/// Builds rectangles and exact counts for a `kd-cell` tree.
-pub(crate) fn build_structure(
-    config: &PsdConfig,
-    eps_grid: f64,
-    points: &[Point],
-    rects: &mut [Rect],
-    true_counts: &mut [f64],
-    rng: &mut StdRng,
-) -> Result<(), BuildError> {
-    debug_assert_eq!(config.kind, TreeKind::KdCell);
-    if !eps_grid.is_finite() || eps_grid <= 0.0 {
-        // The structure share must be positive: the grid is the only
-        // source of splits for this family.
-        return Err(BuildError::InvalidEpsilon(eps_grid));
-    }
-    let (nx, ny) = config.grid_resolution;
-    let grid = CellGrid2D::build(rng, points, config.domain, nx, ny, eps_grid);
-
-    let mut buf: Vec<Point> = points.to_vec();
-
-    #[allow(clippy::too_many_arguments)]
-    fn recurse(
-        config: &PsdConfig,
-        grid: &CellGrid2D,
-        v: usize,
-        depth: usize,
-        rect: Rect,
-        pts: &mut [Point],
-        rects: &mut [Rect],
-        true_counts: &mut [f64],
-    ) {
-        rects[v] = rect;
-        true_counts[v] = pts.len() as f64;
-        if depth == config.height {
-            return;
-        }
-        let uniform = grid.uniformity_score(&rect) < UNIFORMITY_THRESHOLD;
-        let sx = if uniform {
-            rect.min_x() + rect.width() / 2.0
-        } else {
-            grid.median_along(0, &rect)
-        };
-        let (rect_l, rect_r) = rect.split_at(0, sx);
-        let pick_y = |r: &Rect| -> f64 {
-            if uniform || grid.uniformity_score(r) < UNIFORMITY_THRESHOLD {
-                r.min_y() + r.height() / 2.0
-            } else {
-                grid.median_along(1, r)
-            }
-        };
-        let (rect_ll, rect_lh) = rect_l.split_at(1, pick_y(&rect_l));
-        let (rect_rl, rect_rh) = rect_r.split_at(1, pick_y(&rect_r));
-        let mid = partition_in_place(pts, |p| p.x() < rect_l.max_x());
-        let (left, right) = pts.split_at_mut(mid);
-        let mid_l = partition_in_place(left, |p| p.y() < rect_ll.max_y());
-        let (ll, lh) = left.split_at_mut(mid_l);
-        let mid_r = partition_in_place(right, |p| p.y() < rect_rl.max_y());
-        let (rl, rh) = right.split_at_mut(mid_r);
-        let first_child = 4 * v + 1;
-        let child_data: [(Rect, &mut [Point]); 4] =
-            [(rect_ll, ll), (rect_lh, lh), (rect_rl, rl), (rect_rh, rh)];
-        for (j, (child_rect, child_pts)) in child_data.into_iter().enumerate() {
-            recurse(
-                config,
-                grid,
-                first_child + j,
-                depth + 1,
-                child_rect,
-                child_pts,
-                rects,
-                true_counts,
-            );
-        }
-    }
-
-    recurse(
-        config,
-        &grid,
-        0,
-        0,
-        config.domain,
-        &mut buf,
-        rects,
-        true_counts,
-    );
-    Ok(())
-}
-
-/// Builds boxes and exact counts for a `kd-cell` tree in any dimension
-/// — the `D`-generic counterpart of [`build_structure`] (which stays
-/// verbatim so planar output remains bit-for-bit reproducible).
+/// Builds boxes and exact counts for a `kd-cell` tree in any dimension.
 ///
 /// The split grid is a [`CellGridNd`] at the resolution given by
 /// [`PsdConfig::grid_resolution_nd`]; each flattened node performs one
 /// split per axis in sequence, reading the axis marginal's median off
 /// the noisy grid — unless the region scores uniform, in which case the
-/// split degenerates to the midpoint, exactly like the planar rule.
+/// split degenerates to the midpoint.
 pub(crate) fn build_structure_nd<const D: usize>(
     config: &PsdConfig<D>,
     eps_grid: f64,
@@ -157,8 +67,8 @@ pub(crate) fn build_structure_nd<const D: usize>(
         if depth == config.height {
             return;
         }
-        // One uniformity verdict per node governs the axis-0 split (as
-        // in the planar builder); deeper stages re-test each piece.
+        // One uniformity verdict per node governs the axis-0 split;
+        // deeper stages re-test each piece.
         let uniform = grid.uniformity_score(&rect) < UNIFORMITY_THRESHOLD;
         let mut pieces: Vec<(Rect<D>, usize, usize)> = vec![(rect, 0, pts.len())];
         for axis in 0..D {

@@ -10,8 +10,8 @@
 //! Two curve types are provided:
 //!
 //! * [`HilbertCurve`] — the classical planar (2-D) curve with `u32`
-//!   cell coordinates, kept verbatim so planar pipelines stay
-//!   bit-for-bit reproducible;
+//!   cell coordinates, the reference implementation that tests compare
+//!   `NdCurve::<2>` against (the two index every cell identically);
 //! * [`NdCurve`] — the `D`-dimensional generalization (const-generic),
 //!   computing compact Hilbert indices with the Gray-code/rotation
 //!   scheme, or plain Z-order/Morton interleaving when constructed

@@ -79,20 +79,30 @@ proptest! {
         prop_assert_eq!(dist, 1, "step {} at order {}", h, order);
     }
 
-    /// The planar `HilbertCurve` and the 2-D `NdCurve` instantiation are
-    /// both genuine Hilbert curves over the same grid: any contiguous
-    /// index range covers the same *number* of cells, and both satisfy
-    /// adjacency — but their layouts need not coincide, so this pins
-    /// only the shared contract (bijection into the same index space).
+    /// The 2-D `NdCurve` instantiation is the planar `HilbertCurve`:
+    /// every cell gets the same index, and every index range the same
+    /// bounding box. The Hilbert R-tree builds on `NdCurve` alone and
+    /// relies on this for its planar output.
     #[test]
-    fn nd_curve_shares_index_space_with_planar(order in 1u32..=16, raw in (0u64..u64::MAX, 0u64..u64::MAX)) {
+    fn nd_curve_shares_index_space_with_planar(
+        order in 1u32..=16,
+        raw in (0u64..u64::MAX, 0u64..u64::MAX),
+        range in (0u64..u64::MAX, 0u64..u64::MAX),
+    ) {
         let planar = HilbertCurve::new(order).unwrap();
         let nd = NdCurve::<2>::hilbert(order).unwrap();
         prop_assert_eq!(planar.cell_count(), nd.cell_count());
         let c = coords_mod(&nd, [raw.0, raw.1]);
-        let h = nd.encode(c);
-        let hp = planar.encode(c[0] as u32, c[1] as u32);
-        prop_assert!(h <= nd.max_index() && hp <= planar.max_index());
+        prop_assert_eq!(nd.encode(c), planar.encode(c[0] as u32, c[1] as u32));
+        let a = range.0 % nd.cell_count();
+        let b = range.1 % nd.cell_count();
+        let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
+        let bp = planar.range_bbox(lo, hi);
+        let bn = nd.range_bbox(lo, hi);
+        prop_assert_eq!(
+            (bn.min, bn.max),
+            ([bp.min_x as u64, bp.min_y as u64], [bp.max_x as u64, bp.max_y as u64])
+        );
     }
 
     /// `range_bbox` contains every sampled cell of the range and is

@@ -10,10 +10,14 @@
 //! every malformed input is a typed error the server maps to a 4xx
 //! response instead of a panic.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 /// Cap on the request line plus all headers (16 KiB).
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
+
+/// Largest up-front reservation for a request body (64 KiB); longer
+/// bodies grow as their bytes arrive.
+const MAX_BODY_RESERVE: usize = 64 * 1024;
 
 /// A parsed request.
 #[derive(Debug)]
@@ -177,8 +181,17 @@ pub fn read_request<R: BufRead>(r: &mut R, max_body: usize) -> Result<Option<Req
             "body of {body_len} bytes exceeds the {max_body}-byte limit"
         )));
     }
-    let mut body = vec![0u8; body_len];
-    r.read_exact(&mut body)?;
+    // Reserve at most `MAX_BODY_RESERVE` up front and grow as bytes
+    // arrive, so memory follows the bytes received, not the length a
+    // client declares.
+    let mut body = Vec::with_capacity(body_len.min(MAX_BODY_RESERVE));
+    r.take(body_len as u64).read_to_end(&mut body)?;
+    if body.len() < body_len {
+        return Err(HttpError::Io(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("body ended after {} of {body_len} bytes", body.len()),
+        )));
+    }
     Ok(Some(Request { body, ..request }))
 }
 
@@ -280,6 +293,44 @@ mod tests {
             "v".repeat(MAX_HEAD_BYTES)
         );
         assert!(matches!(parse(&huge_header), Err(HttpError::TooLarge(_))));
+    }
+
+    #[test]
+    fn declared_length_is_not_reserved_before_the_bytes_arrive() {
+        // 1 TiB declared under a 1 TiB cap, 10 bytes sent: a short body,
+        // not an attempt to allocate what the client claimed.
+        let raw = b"POST /x HTTP/1.1\r\nContent-Length: 1099511627776\r\n\r\n0123456789";
+        let got = read_request(&mut BufReader::new(&raw[..]), 1 << 40);
+        assert!(matches!(got, Err(HttpError::Io(_))));
+    }
+
+    #[test]
+    fn a_body_arriving_one_byte_per_read_is_assembled_exactly() {
+        struct Trickle<'a>(&'a [u8]);
+        impl std::io::Read for Trickle<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                let Some((&first, rest)) = self.0.split_first() else {
+                    return Ok(0);
+                };
+                match buf.first_mut() {
+                    Some(slot) => *slot = first,
+                    None => return Ok(0),
+                }
+                self.0 = rest;
+                Ok(1)
+            }
+        }
+        // Longer than the up-front reservation, so the body must grow.
+        let body: Vec<u8> = (0..MAX_BODY_RESERVE + 1000)
+            .map(|i| (i * 31 % 251) as u8)
+            .collect();
+        let mut raw =
+            format!("POST /x HTTP/1.1\r\nContent-Length: {}\r\n\r\n", body.len()).into_bytes();
+        raw.extend_from_slice(&body);
+        let req = read_request(&mut BufReader::new(Trickle(&raw)), 1 << 20)
+            .unwrap()
+            .unwrap();
+        assert_eq!(req.body, body);
     }
 
     #[test]

@@ -22,11 +22,15 @@ impl Fnv {
         Fnv(0xcbf2_9ce4_8422_2325)
     }
 
-    fn word(&mut self, w: u64) {
-        for byte in w.to_le_bytes() {
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
             self.0 ^= byte as u64;
             self.0 = self.0.wrapping_mul(0x1_0000_01b3);
         }
+    }
+
+    fn word(&mut self, w: u64) {
+        self.bytes(&w.to_le_bytes());
     }
 
     fn f64(&mut self, v: f64) {
@@ -170,9 +174,9 @@ fn dataset_3d() -> Vec<Point<3>> {
     pts
 }
 
-/// Configs exercising the dimension-generic builders of the formerly
-/// planar families: `kd-cell` and `Hilbert-R` at `D = 3`, and the
-/// Z-order curve at `D = 2` (which bypasses the planar pipeline).
+/// Configs exercising the grid and curve families beyond the planar
+/// goldens: `kd-cell` and `Hilbert-R` at `D = 3`, and the Z-order curve
+/// (at `D = 3` here and at `D = 2` in the tests).
 fn configs_nd() -> Vec<(&'static str, PsdConfig<3>)> {
     let d = Rect::from_corners([0.0; 3], [64.0; 3]).unwrap();
     vec![
@@ -443,3 +447,220 @@ fn query_answers_match_their_goldens() {
         assert_eq!(fp, expected, "{name}: query answers drifted");
     }
 }
+
+/// Two deterministic probe datasets in `[0, 64)^D` (no RNG): set 0 is
+/// a dense corner cluster plus a sparse diagonal, set 1 a coarse
+/// lattice with a hot spot near the far corner.
+fn probe_points<const D: usize>(set: usize) -> Vec<Point<D>> {
+    (0..1200)
+        .map(|i| {
+            let mut coords = [0.0; D];
+            for (k, c) in coords.iter_mut().enumerate() {
+                *c = match (set, i % 4) {
+                    (0, 0) => (i % 61) as f64 + 0.5,
+                    (0, _) => 2.0 + ((i * (2 * k + 3)) % 53) as f64 * 0.15,
+                    (_, 0) => 50.0 + ((i + k) % 9) as f64 * 0.7,
+                    _ => ((i / 5usize.pow(k as u32)) % 5) as f64 * 12.5 + 3.1,
+                };
+            }
+            Point::from_coords(coords)
+        })
+        .collect()
+}
+
+/// Builds every probe config of one dimension over both probe datasets
+/// and folds each release's full `dpsd-bin` bytes: kd-cell at each
+/// `(height, grid)` of `cells`, and Hilbert-R and Z-order-R at each
+/// `(height, order)` of `curves`, each with pruning off and on. Seeds
+/// derive from the probe name, so adding probes moves no other pin.
+fn probe_prints<const D: usize>(
+    cells: &[(usize, (usize, usize))],
+    curves: &[(usize, u32)],
+) -> Vec<(String, u64)> {
+    let domain = Rect::from_corners([0.0; D], [64.0; D]).unwrap();
+    let mut configs: Vec<(String, PsdConfig<D>)> = Vec::new();
+    for &(h, grid) in cells {
+        configs.push((
+            format!("kd-cell/d{D}/h{h}/g{}x{}", grid.0, grid.1),
+            PsdConfig::kd_cell(domain, h, 1.0, grid),
+        ));
+    }
+    for &(h, order) in curves {
+        for (tag, curve) in [
+            ("hilbert-r", CurveKind::Hilbert),
+            ("zorder-r", CurveKind::ZOrder),
+        ] {
+            configs.push((
+                format!("{tag}/d{D}/h{h}/o{order}"),
+                PsdConfig::hilbert_r(domain, h, 0.5)
+                    .with_curve(curve)
+                    .with_hilbert_order(order),
+            ));
+        }
+    }
+    let mut prints = Vec::new();
+    for set in 0..2 {
+        let pts = probe_points::<D>(set);
+        for (base, config) in &configs {
+            for (suffix, threshold) in [("", None), ("/prune", Some(8.0))] {
+                let name = format!("{base}{suffix}/set{set}");
+                let mut seed = Fnv::new();
+                seed.bytes(name.as_bytes());
+                let mut config = config.clone().with_seed(seed.0);
+                if let Some(m) = threshold {
+                    config = config.with_prune_threshold(m);
+                }
+                let bytes = config.build(&pts).unwrap().release().to_flat_bytes();
+                let mut h = Fnv::new();
+                h.bytes(&bytes);
+                prints.push((name, h.0));
+            }
+        }
+    }
+    prints
+}
+
+/// Pins the full `dpsd-bin` bytes of the grid and curve families
+/// across dimensions, heights, grids, orders, pruning and datasets, so
+/// any drift in grid reads, curve encoding, box computation or RNG
+/// order shows up as a changed hash. Regenerate with
+/// `PRINT_FINGERPRINTS=1` only for a deliberate change.
+#[test]
+fn grid_and_curve_families_match_their_byte_pins() {
+    let mut prints = probe_prints::<1>(&[(3, (16, 1)), (6, (64, 1))], &[(4, 6), (7, 20)]);
+    prints.extend(probe_prints::<2>(
+        &[(2, (16, 16)), (3, (32, 8)), (4, (64, 32))],
+        &[(3, 18), (4, 3)],
+    ));
+    prints.extend(probe_prints::<3>(
+        &[(2, (16, 8)), (3, (8, 8))],
+        &[(2, 4), (3, 8)],
+    ));
+    prints.extend(probe_prints::<4>(
+        &[(1, (8, 4)), (2, (6, 6))],
+        &[(1, 2), (2, 6)],
+    ));
+    if std::env::var("PRINT_FINGERPRINTS").is_ok() {
+        for (name, fp) in &prints {
+            println!("(\"{name}\", {fp:#018x}),");
+        }
+        return;
+    }
+    for (name, fp) in prints {
+        let expected = GOLDEN_BIN
+            .iter()
+            .find(|(n, _)| *n == name)
+            .unwrap_or_else(|| panic!("no golden entry for {name}"))
+            .1;
+        assert_eq!(fp, expected, "{name}: release bytes drifted");
+    }
+}
+
+/// FNV folds of the probe releases' `dpsd-bin` bytes. Every curve entry
+/// and the kd-cell entries at `D <= 2` were captured while `D = 2` still
+/// ran separate planar builders, so they pin that the one generic
+/// builder per family reproduces them; the kd-cell entries at `D >= 3`
+/// were captured once the grid multiplied overlap fractions in axis
+/// order, `(c · f_0) · f_1 · …`.
+const GOLDEN_BIN: &[(&str, u64)] = &[
+    ("kd-cell/d1/h3/g16x1/set0", 0x9ff964f344a03e7a),
+    ("kd-cell/d1/h3/g16x1/prune/set0", 0x79cff81abb4624ac),
+    ("kd-cell/d1/h6/g64x1/set0", 0x9484aa74d1e2dade),
+    ("kd-cell/d1/h6/g64x1/prune/set0", 0x6f160c2124128a15),
+    ("hilbert-r/d1/h4/o6/set0", 0x1b9c4f92c8099c87),
+    ("hilbert-r/d1/h4/o6/prune/set0", 0xcdc365ca80eb9416),
+    ("zorder-r/d1/h4/o6/set0", 0xf4b5a1f7588195a4),
+    ("zorder-r/d1/h4/o6/prune/set0", 0xbd5ebae322e5034b),
+    ("hilbert-r/d1/h7/o20/set0", 0xcc7df4d2380c3b05),
+    ("hilbert-r/d1/h7/o20/prune/set0", 0x77350c2b9c1a5bcf),
+    ("zorder-r/d1/h7/o20/set0", 0x28b83552a882edc3),
+    ("zorder-r/d1/h7/o20/prune/set0", 0x3d36363d40a4c8e3),
+    ("kd-cell/d1/h3/g16x1/set1", 0xd63e8c190b148887),
+    ("kd-cell/d1/h3/g16x1/prune/set1", 0x51954d8ef557d0bf),
+    ("kd-cell/d1/h6/g64x1/set1", 0xc66ae02e7e324623),
+    ("kd-cell/d1/h6/g64x1/prune/set1", 0x8a988eca96056bb0),
+    ("hilbert-r/d1/h4/o6/set1", 0x836df02552349517),
+    ("hilbert-r/d1/h4/o6/prune/set1", 0x340fab7c44be4043),
+    ("zorder-r/d1/h4/o6/set1", 0xf4c172f3e09e5562),
+    ("zorder-r/d1/h4/o6/prune/set1", 0x329f0c51749c397b),
+    ("hilbert-r/d1/h7/o20/set1", 0x9eb802f98a3c562f),
+    ("hilbert-r/d1/h7/o20/prune/set1", 0x2dc0807c922d3c9b),
+    ("zorder-r/d1/h7/o20/set1", 0x8a7f879655917313),
+    ("zorder-r/d1/h7/o20/prune/set1", 0xba7d8dc44c5327a0),
+    ("kd-cell/d2/h2/g16x16/set0", 0xc0533c94c8106e54),
+    ("kd-cell/d2/h2/g16x16/prune/set0", 0x9a2128edb5143202),
+    ("kd-cell/d2/h3/g32x8/set0", 0x3d001e96047aa8c4),
+    ("kd-cell/d2/h3/g32x8/prune/set0", 0x0d20a0554fda5531),
+    ("kd-cell/d2/h4/g64x32/set0", 0xff612022522a2077),
+    ("kd-cell/d2/h4/g64x32/prune/set0", 0x2eb7073ad7620293),
+    ("hilbert-r/d2/h3/o18/set0", 0x72075031ce763a31),
+    ("hilbert-r/d2/h3/o18/prune/set0", 0xf299a473ba25f2bd),
+    ("zorder-r/d2/h3/o18/set0", 0x5ef0bb896ec9aeaf),
+    ("zorder-r/d2/h3/o18/prune/set0", 0x92302c5963fead24),
+    ("hilbert-r/d2/h4/o3/set0", 0xdb2234cc3efecea5),
+    ("hilbert-r/d2/h4/o3/prune/set0", 0xcbc6f41750f68541),
+    ("zorder-r/d2/h4/o3/set0", 0xf1da1dad8b6835b2),
+    ("zorder-r/d2/h4/o3/prune/set0", 0xf83dabfdae9c779c),
+    ("kd-cell/d2/h2/g16x16/set1", 0x9941450331306926),
+    ("kd-cell/d2/h2/g16x16/prune/set1", 0x9e764414f1d6a87e),
+    ("kd-cell/d2/h3/g32x8/set1", 0xf45f3996fe72fe76),
+    ("kd-cell/d2/h3/g32x8/prune/set1", 0x589b1447c1f4d537),
+    ("kd-cell/d2/h4/g64x32/set1", 0x755807afb61e89db),
+    ("kd-cell/d2/h4/g64x32/prune/set1", 0x5be5764d965629c5),
+    ("hilbert-r/d2/h3/o18/set1", 0x2383021f3b4fc036),
+    ("hilbert-r/d2/h3/o18/prune/set1", 0x72dfddf34c030bad),
+    ("zorder-r/d2/h3/o18/set1", 0xca5c971175cdc9cf),
+    ("zorder-r/d2/h3/o18/prune/set1", 0x4918c3c290df1373),
+    ("hilbert-r/d2/h4/o3/set1", 0x83a99fcc0ac01483),
+    ("hilbert-r/d2/h4/o3/prune/set1", 0x6e506530f745509c),
+    ("zorder-r/d2/h4/o3/set1", 0xfe858646f9bc40b7),
+    ("zorder-r/d2/h4/o3/prune/set1", 0x314121992a8d68da),
+    ("kd-cell/d3/h2/g16x8/set0", 0xf1b125834e1b82f9),
+    ("kd-cell/d3/h2/g16x8/prune/set0", 0x5b0dbdab3e35f310),
+    ("kd-cell/d3/h3/g8x8/set0", 0x20e781cd6b35bb9c),
+    ("kd-cell/d3/h3/g8x8/prune/set0", 0xceeb5e5831a96d9c),
+    ("hilbert-r/d3/h2/o4/set0", 0x277d3b0b841df152),
+    ("hilbert-r/d3/h2/o4/prune/set0", 0x09640738f11a755f),
+    ("zorder-r/d3/h2/o4/set0", 0x0e84ba8eb6dda796),
+    ("zorder-r/d3/h2/o4/prune/set0", 0x381f233bec39139c),
+    ("hilbert-r/d3/h3/o8/set0", 0xa781b00abf8097f3),
+    ("hilbert-r/d3/h3/o8/prune/set0", 0xdbded44a8bc93227),
+    ("zorder-r/d3/h3/o8/set0", 0x79fb212d294780a6),
+    ("zorder-r/d3/h3/o8/prune/set0", 0xa5d34f3484ce1ef8),
+    ("kd-cell/d3/h2/g16x8/set1", 0xf95a7d58e4f8b218),
+    ("kd-cell/d3/h2/g16x8/prune/set1", 0x426998d73ca6ede8),
+    ("kd-cell/d3/h3/g8x8/set1", 0xc6e0020d2f6dbba0),
+    ("kd-cell/d3/h3/g8x8/prune/set1", 0xffb16d548f12928d),
+    ("hilbert-r/d3/h2/o4/set1", 0x25a17718a7e555ee),
+    ("hilbert-r/d3/h2/o4/prune/set1", 0xeb34d4dd6eaf5b16),
+    ("zorder-r/d3/h2/o4/set1", 0xd55be05ddfa5fde7),
+    ("zorder-r/d3/h2/o4/prune/set1", 0xcd61ce029da07642),
+    ("hilbert-r/d3/h3/o8/set1", 0x617b8e4122061987),
+    ("hilbert-r/d3/h3/o8/prune/set1", 0xae47437f963e69cf),
+    ("zorder-r/d3/h3/o8/set1", 0x66f789107969a74d),
+    ("zorder-r/d3/h3/o8/prune/set1", 0xea1d06e1e9959dfc),
+    ("kd-cell/d4/h1/g8x4/set0", 0xf9935191dff4b71a),
+    ("kd-cell/d4/h1/g8x4/prune/set0", 0xf643e2d7711fed17),
+    ("kd-cell/d4/h2/g6x6/set0", 0x6eb0747e6ceb7ea1),
+    ("kd-cell/d4/h2/g6x6/prune/set0", 0x929b0531eccd8f91),
+    ("hilbert-r/d4/h1/o2/set0", 0x69b30ba66bba9b79),
+    ("hilbert-r/d4/h1/o2/prune/set0", 0xc7088ca2ba71eaae),
+    ("zorder-r/d4/h1/o2/set0", 0x40b9c0e9722676b5),
+    ("zorder-r/d4/h1/o2/prune/set0", 0x8df644485131322f),
+    ("hilbert-r/d4/h2/o6/set0", 0x9679857666e9f9f6),
+    ("hilbert-r/d4/h2/o6/prune/set0", 0xc2422be3764ee229),
+    ("zorder-r/d4/h2/o6/set0", 0x83fa58f9d8635ee2),
+    ("zorder-r/d4/h2/o6/prune/set0", 0xab53e1e4b1fc39e6),
+    ("kd-cell/d4/h1/g8x4/set1", 0x55f8d29584197a59),
+    ("kd-cell/d4/h1/g8x4/prune/set1", 0xf63fd8891af2a19a),
+    ("kd-cell/d4/h2/g6x6/set1", 0x30a636340b6909cb),
+    ("kd-cell/d4/h2/g6x6/prune/set1", 0x4904bd8370853385),
+    ("hilbert-r/d4/h1/o2/set1", 0x9b134ddf254bbc8d),
+    ("hilbert-r/d4/h1/o2/prune/set1", 0x700604222174c493),
+    ("zorder-r/d4/h1/o2/set1", 0x59d9de7deb7bd601),
+    ("zorder-r/d4/h1/o2/prune/set1", 0x987b7987df0f0f87),
+    ("hilbert-r/d4/h2/o6/set1", 0xcc146ebad356a8fd),
+    ("hilbert-r/d4/h2/o6/prune/set1", 0x96d86f975c42f700),
+    ("zorder-r/d4/h2/o6/set1", 0x1e5105eb863f573c),
+    ("zorder-r/d4/h2/o6/prune/set1", 0x7cfd8a6a0df3db70),
+];

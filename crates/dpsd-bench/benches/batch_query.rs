@@ -1,7 +1,9 @@
 //! Batched-query bench: `SpatialSynopsis::query_batch` versus a loop of
 //! single `query` calls versus the sharded `query_batch_parallel` path
-//! on a 1 000-query workload — the acceptance check for both the
-//! shared-traversal batch path and the deterministic parallel runtime.
+//! on a 1 000-query workload. `query_batch` is itself a loop of single
+//! descents, so its id tracks `single_query_loop` and shows any
+//! overhead the batch path adds; the parallel ids are the acceptance
+//! check for the deterministic parallel runtime.
 //! Before any timing begins, the batch answers are asserted
 //! bit-identical to the singles and the parallel answers bit-identical
 //! to the batch at every benchmarked thread count, so a CI bench run

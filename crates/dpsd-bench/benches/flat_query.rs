@@ -2,8 +2,8 @@
 //! over the loaded columns, on the same 1 000-query workload as
 //! `batch_query`.
 //!
-//! 1. **Query**: `flat_query_batch` times the kernel's batch sweep over
-//!    a synopsis loaded from bytes, at heights 7 and 9.
+//! 1. **Query**: `flat_query_batch` times a batch of single-query
+//!    descents over a synopsis loaded from bytes, at heights 7 and 9.
 //! 2. **Load**: on the height-7 release the query group builds,
 //!    `bin_load` (binary validate-then-move) must not be slower than
 //!    `json_parse` (text parse into the same columns) — CI-gated by

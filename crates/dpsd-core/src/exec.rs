@@ -154,17 +154,6 @@ where
         .collect()
 }
 
-/// Runs `n_tasks` independent tasks for their side effects, using at
-/// most `par.threads()` scoped workers. Tasks must be independent (the
-/// caller's captures are `Sync`, so shared state is read-only or
-/// internally synchronized).
-pub fn par_for_each<F>(par: Parallelism, n_tasks: usize, run: F)
-where
-    F: Fn(usize) + Sync,
-{
-    par_map_tasks(par, n_tasks, run);
-}
-
 /// Lower bound on items per shard for [`par_map_shards`]: below this,
 /// thread spawn overhead dominates any conceivable per-item win.
 pub const MIN_SHARD: usize = 64;
@@ -176,9 +165,8 @@ pub const MIN_SHARD: usize = 64;
 /// balance) but keeps every shard at `min_shard` items or more — only
 /// the final remainder chunk may come up short. Output
 /// equals `f(items)` whenever `f` is *shard-oblivious* — maps each item
-/// independently of its neighbours, as the batched range-query
-/// traversal does (its per-query answers are bit-identical to single
-/// queries regardless of how the workload is split).
+/// independently of its neighbours, as a batch of range queries does
+/// (each answer is its own descent, whatever shard it lands in).
 pub fn par_map_shards<T, R, F>(par: Parallelism, items: &[T], min_shard: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -281,10 +269,10 @@ mod tests {
     }
 
     #[test]
-    fn par_for_each_runs_every_task_once() {
+    fn par_map_tasks_runs_every_task_once() {
         use std::sync::atomic::AtomicU64;
         let hits: Vec<AtomicU64> = (0..50).map(|_| AtomicU64::new(0)).collect();
-        par_for_each(Parallelism::fixed(4), 50, |i| {
+        par_map_tasks(Parallelism::fixed(4), 50, |i| {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
@@ -315,7 +303,7 @@ mod tests {
     #[test]
     #[should_panic] // scope re-panics with its own payload after joining
     fn worker_panic_propagates() {
-        par_for_each(Parallelism::fixed(2), 16, |i| {
+        par_map_tasks(Parallelism::fixed(2), 16, |i| {
             if i == 7 {
                 panic!("task 7 exploded");
             }

@@ -8,17 +8,13 @@
 //! per-node allocation. [`FlatSynopsis`] names the release type in its
 //! serving role.
 //!
-//! The kernel is a cursor-driven depth-first sweep over those columns,
-//! in two forms: a single-query descent (which also reports the
-//! Lemma 2 contribution profile) and a shared batch traversal that
-//! visits each node once per batch, sweeping the still-active queries'
-//! rect tests over the raw `f64` slices. Both settle nodes in the same
-//! depth-first preorder, so `f64` accumulation order — and therefore
-//! every bit of every answer — is identical between them. Every query
+//! The kernel is one depth-first descent over those columns per query,
+//! which can also report the Lemma 2 contribution profile. Every query
 //! path in the workspace (trees and releases, every
 //! [`CountSource`](crate::tree::CountSource), single, batch, profiled)
-//! runs on this kernel; the caller resolves which count column it reads
-//! once per call.
+//! runs on it, and a batch is a loop of single descents, so a batched
+//! answer is the single answer bit for bit. The caller resolves which
+//! count column the descent reads once per call.
 //!
 //! # Wire layout (`dpsd-bin/v1`, all fields little-endian)
 //!
@@ -519,7 +515,7 @@ impl<const D: usize> ReleasedSynopsis<D> {
     /// Answers one query from `counts`.
     pub(crate) fn answer(&self, query: &Rect<D>, counts: Counts<'_>) -> f64 {
         let mut acc = 0.0;
-        Sweep::new(self, counts).descend_single(0, query, &mut acc, &mut None);
+        Descent::new(self, counts).descend(0, query, &mut acc, &mut None);
         acc
     }
 
@@ -535,51 +531,22 @@ impl<const D: usize> ReleasedSynopsis<D> {
             contained_per_level: vec![0; self.height + 1],
             partial_leaves: 0,
         };
-        Sweep::new(self, counts).descend_single(0, query, &mut acc, &mut Some(&mut profile));
+        Descent::new(self, counts).descend(0, query, &mut acc, &mut Some(&mut profile));
         (acc, profile)
     }
-
-    /// Answers every query of a workload from `counts` with one shared
-    /// traversal per `u32`-indexable chunk.
-    pub(crate) fn answer_batch(&self, queries: &[Rect<D>], counts: Counts<'_>) -> Vec<f64> {
-        let sweep = Sweep::new(self, counts);
-        let mut answers = vec![0.0f64; queries.len()];
-        for (chunk, out) in queries
-            .chunks(MAX_BATCH_CHUNK)
-            .zip(answers.chunks_mut(MAX_BATCH_CHUNK))
-        {
-            sweep.batch_chunk(chunk, out);
-        }
-        answers
-    }
-}
-
-/// Batches are carried as `u32` query indices (half the frontier memory
-/// of `usize`); workloads beyond `u32::MAX` queries are swept in chunks.
-// dpsd-allow(no-silent-as-truncation): u32::MAX widens into usize on every supported target
-const MAX_BATCH_CHUNK: usize = u32::MAX as usize;
-
-/// One in-flight sibling block of the iterative depth-first sweep: the
-/// cursor walks nodes `first..first + len`, `list` holds the query
-/// indices still undecided for this subtree.
-struct Frame {
-    first: usize,
-    len: usize,
-    next: usize,
-    list: Vec<u32>,
 }
 
 /// One resolved kernel call: the arena, the count column it reads, and
 /// where the bottom level starts.
-struct Sweep<'a, const D: usize> {
+struct Descent<'a, const D: usize> {
     arena: &'a ReleasedSynopsis<D>,
     counts: Counts<'a>,
     leaf_first: usize,
 }
 
-impl<'a, const D: usize> Sweep<'a, D> {
+impl<'a, const D: usize> Descent<'a, D> {
     fn new(arena: &'a ReleasedSynopsis<D>, counts: Counts<'a>) -> Self {
-        Sweep {
+        Descent {
             arena,
             counts,
             leaf_first: arena.leaf_first(),
@@ -596,9 +563,8 @@ impl<'a, const D: usize> Sweep<'a, D> {
     /// maximally contained node that has one, fall through withheld
     /// internal nodes to their children, and estimate partially covered
     /// effective leaves by the uniformity assumption. Contributions are
-    /// added in depth-first preorder — the order the batch sweep uses —
-    /// so single and batched answers agree bit-for-bit.
-    fn descend_single(
+    /// added in depth-first preorder, which fixes every answer bit.
+    fn descend(
         &self,
         v: usize,
         query: &Rect<D>,
@@ -640,98 +606,7 @@ impl<'a, const D: usize> Sweep<'a, D> {
         // Not an effective leaf, so `v` has a full block of children.
         let first = self.arena.fanout * v + 1;
         for child in first..first + self.arena.fanout {
-            self.descend_single(child, query, acc, profile);
-        }
-    }
-
-    /// The batch sweep over one `u32`-indexable chunk. An explicit
-    /// cursor stack replaces recursion, but nodes are settled in the
-    /// **same depth-first preorder** as [`Sweep::descend_single`] — one
-    /// sibling at a time, descending immediately — so `f64`
-    /// accumulation order is identical and answers stay bit-for-bit
-    /// equal to the single-query path.
-    fn batch_chunk(&self, queries: &[Rect<D>], answers: &mut [f64]) {
-        debug_assert_eq!(queries.len(), answers.len());
-        if queries.is_empty() {
-            return;
-        }
-        let root_active: Vec<u32> = (0u32..).take(queries.len()).collect();
-        let mut stack: Vec<Frame> = vec![Frame {
-            first: 0,
-            len: 1,
-            next: 0,
-            list: root_active,
-        }];
-        let mut pool: Vec<Vec<u32>> = Vec::new();
-        let (mins, maxs) = (&self.arena.mins[..], &self.arena.maxs[..]);
-        let n = self.arena.node_count();
-        while let Some(top) = stack.last() {
-            if top.next == top.len {
-                if let Some(done) = stack.pop() {
-                    let mut list = done.list;
-                    list.clear();
-                    pool.push(list);
-                }
-                continue;
-            }
-            let v = top.first + top.next;
-            let leafish = self.leafish(v);
-            let count = self.counts.get(v);
-            let mut forwarded = pool.pop().unwrap_or_default();
-            for &qi in &top.list {
-                // dpsd-allow(no-silent-as-truncation): indices come from `0u32..take(len)`; widening into usize
-                let i = qi as usize;
-                let q = &queries[i];
-                // Branch-light containment sweep: both tests fold over
-                // the axis columns with no early exit, exact because
-                // they are pure comparisons (no float arithmetic).
-                let mut intersecting = true;
-                let mut inside = true;
-                for k in 0..D {
-                    let off = k * n + v;
-                    let lo = mins[off];
-                    let hi = maxs[off];
-                    intersecting &= lo <= q.max[k] && q.min[k] <= hi;
-                    inside &= lo >= q.min[k] && hi <= q.max[k];
-                }
-                if !intersecting {
-                    continue;
-                }
-                if inside {
-                    if let Some(c) = count {
-                        answers[i] += c;
-                        continue;
-                    }
-                    if leafish {
-                        continue;
-                    }
-                } else if leafish {
-                    if let Some(c) = count {
-                        // The real geometry method, on the rebuilt rect:
-                        // op-identical to the single-query estimate.
-                        let fraction = self.arena.rect(v).overlap_fraction(q);
-                        if fraction > 0.0 {
-                            answers[i] += c * fraction;
-                        }
-                    }
-                    continue;
-                }
-                forwarded.push(qi);
-            }
-            let depth = stack.len() - 1;
-            stack[depth].next += 1;
-            if forwarded.is_empty() {
-                pool.push(forwarded);
-            } else {
-                // Non-empty `forwarded` implies the node fell through
-                // both leaf arms, so it has children.
-                stack.push(Frame {
-                    first: self.arena.fanout * v + 1,
-                    len: self.arena.fanout,
-                    next: 0,
-                    list: forwarded,
-                });
-            }
+            self.descend(child, query, acc, profile);
         }
     }
 }

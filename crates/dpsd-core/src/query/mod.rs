@@ -106,23 +106,17 @@ pub fn try_range_query_with<const D: usize>(
     }
 }
 
-/// Answers every query of a workload with one shared traversal over the
-/// `Auto` source. See [`range_query_batch_with`].
+/// Answers every query of a workload from the `Auto` source. See
+/// [`range_query_batch_with`].
 pub fn range_query_batch<const D: usize>(tree: &PsdTree<D>, queries: &[Rect<D>]) -> Vec<f64> {
     range_query_batch_with(tree, queries, CountSource::Auto)
 }
 
 /// Answers every query of a workload, reading the chosen count column.
 ///
-/// Returns exactly what `queries.iter().map(|q| range_query_with(tree,
-/// q, source)).collect()` would — same canonical node selection, same
-/// uniformity estimates, same bits — but descends the tree **once** for
-/// the whole batch: each node is visited at most one time, carrying only
-/// the queries still undecided for its subtree, and the per-node work
-/// (leaf test, count-column read) is paid once per node instead of once
-/// per query-node pair. Scratch frontiers are reused across sibling
-/// subtrees, so the traversal allocates `O(h)` vectors regardless of
-/// workload size.
+/// This is `queries.iter().map(|q| range_query_with(tree, q,
+/// source)).collect()` with the column resolved once: one descent per
+/// query, so every answer is bit-identical to the single query.
 ///
 /// # Panics
 ///
@@ -138,7 +132,9 @@ pub fn range_query_batch_with<const D: usize>(
         counts.is_some(),
         "Posted counts requested but OLS post-processing was never run"
     );
-    counts.map_or_else(Vec::new, |c| tree.answer_batch(queries, c))
+    counts.map_or_else(Vec::new, |c| {
+        queries.iter().map(|q| tree.answer(q, c)).collect()
+    })
 }
 
 /// Answers a range query and reports the contribution profile.

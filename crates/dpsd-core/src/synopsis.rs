@@ -14,15 +14,9 @@
 //!   synopsis, loaded from JSON or `dpsd-bin` (and the serving arena);
 //! * `FlatGrid` and `ExactIndex` in `dpsd-baselines`.
 //!
-//! [`SpatialSynopsis::query_batch`] is a first-class operation, not a
-//! loop: tree-backed synopses answer a whole workload in **one shared
-//! traversal** that visits each node at most once and filters the set of
-//! still-active queries as it descends (see
-//! [`crate::query::range_query_batch`]), with answers bit-identical to
-//! repeated single queries. Whether that is faster depends on the tree:
-//! the `batch_query` bench reads it slower than a loop of single queries
-//! on `batch_query_1000/h7` and, in most runs, faster on
-//! `batch_query_1000/h9`. A batch is also the natural unit for parallel
+//! [`SpatialSynopsis::query_batch`] answers a whole workload, in order,
+//! as a loop of single queries, so each batched answer is bit-identical
+//! to the single query. A batch is the natural unit for parallel
 //! sharding: [`ParallelQuery`] (implemented for every `Sync` synopsis)
 //! shards a workload across the [`crate::exec`] worker pool with answers
 //! guaranteed bit-identical to the sequential path.
@@ -46,11 +40,10 @@ pub trait SpatialSynopsis<const D: usize = 2> {
     /// best released counts (post-processed when available).
     fn query(&self, query: &Rect<D>) -> f64;
 
-    /// Answers every query of a workload, in order.
-    ///
-    /// Equivalent to mapping [`query`](SpatialSynopsis::query) over
-    /// `queries` — and guaranteed to return the same values — but
-    /// backends override it with a shared-traversal fast path.
+    /// Answers every query of a workload, in order: maps
+    /// [`query`](SpatialSynopsis::query) over `queries`. An override
+    /// must return the same values bit for bit, which
+    /// [`ParallelQuery`] relies on.
     fn query_batch(&self, queries: &[Rect<D>]) -> Vec<f64> {
         queries.iter().map(|q| self.query(q)).collect()
     }
@@ -122,10 +115,6 @@ impl<const D: usize> SpatialSynopsis<D> for crate::tree::ReleasedSynopsis<D> {
         self.answer(query, self.auto_counts())
     }
 
-    fn query_batch(&self, queries: &[Rect<D>]) -> Vec<f64> {
-        self.answer_batch(queries, self.auto_counts())
-    }
-
     fn query_profiled(&self, query: &Rect<D>) -> (f64, QueryProfile) {
         self.answer_profiled(query, self.auto_counts())
     }
@@ -148,10 +137,6 @@ impl<const D: usize> SpatialSynopsis<D> for crate::tree::ReleasedSynopsis<D> {
 impl<const D: usize> SpatialSynopsis<D> for crate::tree::PsdTree<D> {
     fn query(&self, query: &Rect<D>) -> f64 {
         (**self).query(query)
-    }
-
-    fn query_batch(&self, queries: &[Rect<D>]) -> Vec<f64> {
-        (**self).query_batch(queries)
     }
 
     fn query_profiled(&self, query: &Rect<D>) -> (f64, QueryProfile) {

@@ -9,7 +9,7 @@
 //! parallel columns — axis-major box minima and maxima, noisy counts,
 //! post-processed counts, release and cut flags — held by the
 //! publishable [`ReleasedSynopsis`], which is also the `dpsd-bin`
-//! layout and the arena the query kernel sweeps. A [`PsdTree`] is that
+//! layout and the arena the query kernel descends. A [`PsdTree`] is that
 //! synopsis plus the owner-only exact counts; it dereferences to it, so
 //! every structure accessor is defined once. The dimension defaults to
 //! 2, so `PsdTree` written bare is the planar tree of the paper.

@@ -88,8 +88,8 @@ pub struct ReleasedSynopsis<const D: usize = 2> {
     pub(crate) eps_count: Vec<f64>,
     pub(crate) eps_median: Vec<f64>,
     /// Axis-major node minima: `mins[k * n + v]` is node `v`'s lower
-    /// bound on axis `k`. Keeping each axis contiguous is what lets the
-    /// batch sweep autovectorize.
+    /// bound on axis `k`. This is the `dpsd-bin/v1` column layout, so
+    /// the binary loader moves the decoded column into place.
     pub(crate) mins: Vec<f64>,
     /// Axis-major node maxima, laid out like `mins`.
     pub(crate) maxs: Vec<f64>,

@@ -76,8 +76,7 @@ impl Scale {
 
 /// Evaluates a tree over a workload: the paper's summary statistic, the
 /// **median relative error (%)** across the workload's queries. The
-/// whole workload is answered in one shared traversal
-/// ([`range_query_batch_with`]).
+/// whole workload is answered by [`range_query_batch_with`].
 pub fn evaluate_tree(tree: &PsdTree, workload: &Workload, source: CountSource) -> f64 {
     let answers = range_query_batch_with(tree, &workload.queries, source);
     median_error_pct(&answers, &workload.exact)

@@ -202,6 +202,7 @@ pub fn reason(status: u16) -> &'static str {
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        409 => "Conflict",
         413 => "Payload Too Large",
         500 => "Internal Server Error",
         _ => "Unknown",
@@ -339,6 +340,28 @@ mod tests {
             .unwrap()
             .unwrap();
         assert!(req.wants_close());
+    }
+
+    #[test]
+    fn every_status_the_server_writes_has_a_reason_phrase() {
+        use crate::error::ServeError;
+        let errors = [
+            ServeError::BadRequest(String::new()),
+            ServeError::UnknownSynopsis(String::new()),
+            ServeError::NoSuchRoute(String::new()),
+            ServeError::MethodNotAllowed {
+                path: String::new(),
+                allowed: "GET",
+            },
+            ServeError::TooLarge(String::new()),
+            ServeError::Conflict(String::new()),
+            ServeError::BudgetExhausted(String::new()),
+        ];
+        // 200 answers a routed request; 400 and 413 are what the
+        // connection loop writes for a malformed or oversized request.
+        for status in errors.iter().map(ServeError::status).chain([200, 400, 413]) {
+            assert_ne!(reason(status), "Unknown", "status {status}");
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! `dpsd-bin/v1` binary blob (sniffed by its magic bytes) and the JSON
 //! synopsis. Either way the tenant is hosted as the loaded
 //! [`ReleasedSynopsis`] itself — the structure-of-arrays arena the one
-//! query kernel sweeps — so answers stay bit-identical to the source
+//! query kernel descends — so answers stay bit-identical to the source
 //! tree in every format.
 
 use crate::error::ServeError;

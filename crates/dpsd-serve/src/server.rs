@@ -499,12 +499,14 @@ fn answer_one<const D: usize>(
     Ok((estimate, false))
 }
 
-/// Read-through batch: cache hits are spliced with answers computed by
-/// one sharded batch traversal over the misses. Because `query_batch`
-/// (and its parallel sharding) is guaranteed bit-identical to single
+/// Read-through batch: probe every rect, answer the misses with one
+/// sharded `query_batch_parallel` call (a loop of single descents per
+/// shard), then insert the misses in order. A rect repeated within one
+/// batch misses on every occurrence and its later insert refreshes the
+/// earlier one. Because `query_batch` is bit-identical to single
 /// queries, the spliced vector equals `synopsis.query_batch(all)` bit
 /// for bit.
-fn answer_batch<const D: usize>(
+fn answer_many<const D: usize>(
     synopsis: &ReleasedSynopsis<D>,
     published: &PublishedSynopsis,
     cache: &ShardedCache,
@@ -550,13 +552,15 @@ fn lookup(state: &ServerState, name: &str) -> Result<Arc<PublishedSynopsis>, Ser
         .ok_or_else(|| ServeError::UnknownSynopsis(name.to_string()))
 }
 
+// The query handlers resolve the name before they parse the body, so a
+// request to an unknown synopsis costs no body parse.
 fn handle_query(state: &ServerState, name: &str, request: &Request) -> Result<String, ServeError> {
+    let published = lookup(state, name)?;
     let body = parse_json_body(request)?;
     let rect_value = body
         .get("rect")
         .ok_or_else(|| ServeError::BadRequest("body must have a `rect` field".into()))?;
     let coords = coords_array(rect_value, "rect")?;
-    let published = lookup(state, name)?;
     let (estimate, cached) = with_synopsis!(&published.synopsis, s => {
         answer_one(s, &published, &state.cache, &coords)
     })?;
@@ -572,6 +576,7 @@ fn handle_query(state: &ServerState, name: &str, request: &Request) -> Result<St
 }
 
 fn handle_batch(state: &ServerState, name: &str, request: &Request) -> Result<String, ServeError> {
+    let published = lookup(state, name)?;
     let body = parse_json_body(request)?;
     let rects_value = body
         .get("rects")
@@ -586,9 +591,8 @@ fn handle_batch(state: &ServerState, name: &str, request: &Request) -> Result<St
             state.config.max_batch
         )));
     }
-    let published = lookup(state, name)?;
     let (answers, cache_hits) = with_synopsis!(&published.synopsis, s => {
-        answer_batch(s, &published, &state.cache, wire_rects, state.config.parallelism)
+        answer_many(s, &published, &state.cache, wire_rects, state.config.parallelism)
     })?;
     to_body(&Value::Object(vec![
         ("name".to_string(), Value::String(published.name.clone())),

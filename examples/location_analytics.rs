@@ -58,7 +58,7 @@ fn main() {
         print!("{name:<12}");
         for (i, shape) in PAPER_SHAPES.into_iter().enumerate() {
             let wl = generate_workload(&index, shape, 200, 100 + i as u64);
-            // One shared traversal answers the whole workload.
+            // One call answers the whole workload.
             let answers = tree.query_batch(&wl.queries);
             let errs: Vec<f64> = answers
                 .iter()

@@ -48,7 +48,7 @@ fn main() {
     // ...and the loaded synopsis answers exactly like the owner's tree:
     assert_eq!(estimate, tree.query(&region));
 
-    // Whole workloads go through the shared-traversal batch path.
+    // Whole workloads go through the batch path.
     let workload: Vec<Rect> = (0..1000)
         .map(|i| {
             let x = TIGER_DOMAIN.min_x() + (i % 40) as f64 / 40.0 * (TIGER_DOMAIN.width() - 2.0);
@@ -59,7 +59,7 @@ fn main() {
     let answers = synopsis.query_batch(&workload);
     let positive = answers.iter().filter(|&&a| a > 0.0).count();
     println!(
-        "analyst: answered {} queries in one traversal ({positive} non-empty)",
+        "analyst: answered {} queries in one batch ({positive} non-empty)",
         answers.len()
     );
 

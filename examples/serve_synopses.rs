@@ -49,7 +49,7 @@ fn main() {
         .unwrap();
     assert_eq!(wire.to_bits(), direct.to_bits());
 
-    // A whole workload in one request, answered by a shared traversal.
+    // A whole workload in one request.
     let rects: Vec<String> = (0..200)
         .map(|i| {
             let x = TIGER_DOMAIN.min_x() + (i % 20) as f64 / 20.0 * (TIGER_DOMAIN.width() - 2.0);

@@ -13,10 +13,10 @@
 //! [`SpatialSynopsis`]**. Trees of any family, the flat-grid and exact
 //! baselines, the d-dimensional extension, and published
 //! [`ReleasedSynopsis`] artifacts all answer the same range-count
-//! questions — `query`, `query_batch` (one shared traversal for a whole
-//! workload), `query_profiled` — and report `domain`, `epsilon`, and
-//! `node_count` uniformly. Anything fallible returns the unified
-//! [`DpsdError`].
+//! questions — `query`, `query_batch` (a whole workload, bit-identical
+//! to a loop of `query`), `query_profiled` — and report `domain`,
+//! `epsilon`, and `node_count` uniformly. Anything fallible returns the
+//! unified [`DpsdError`].
 //!
 //! This crate is a facade that re-exports the workspace members:
 //!
@@ -47,7 +47,7 @@
 //!     .unwrap();
 //!
 //! // Ask how many individuals are in a 1x1 degree region — then ask a
-//! // whole workload at once through the shared-traversal batch path.
+//! // whole workload at once through the batch path.
 //! let q = Rect::new(-122.5, 47.0, -121.5, 48.0).unwrap();
 //! let estimate = tree.query(&q);
 //! assert!(estimate.is_finite());

@@ -108,7 +108,7 @@ proptest! {
         roundtrip_case::<4>(seed);
     }
 
-    /// The shared-traversal batch path equals one-at-a-time queries
+    /// The batch path equals one-at-a-time queries
     /// bit-for-bit for data-dependent trees in every dimension.
     #[test]
     fn batch_equals_singles_in_every_dimension(seed in 0u64..500) {

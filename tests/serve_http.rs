@@ -274,6 +274,12 @@ fn error_paths_are_typed_json_not_hangs() {
         .unwrap();
     assert_eq!(r.status, 404);
     assert!(r.error_message().unwrap().contains("ghost"));
+    // The name resolves before the body parses: an unknown synopsis is
+    // a 404 whatever the body holds.
+    for path in ["/synopses/ghost/query", "/synopses/ghost/query/batch"] {
+        let r = client.post(path, "not json").unwrap();
+        assert_eq!(r.status, 404, "{path}: {}", r.body);
+    }
 
     // Malformed artifact.
     let r = client
@@ -353,6 +359,44 @@ fn stats_reports_cache_registry_and_latency() {
             .map(<[_]>::len),
         Some(1)
     );
+}
+
+/// A batch probes every rect before it inserts any miss, so a rect
+/// repeated within one batch misses on every occurrence and lands in
+/// the cache once.
+#[test]
+fn a_batch_repeating_a_rect_probes_every_rect_before_inserting() {
+    let handle = start_server(ServeConfig::default());
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let direct = synopsis_2d(31);
+    publish(&mut client, "twice", &direct.to_json_string());
+    let typed = Rect::new(3.0, 5.0, 41.0, 29.0).unwrap();
+    let rects = vec![wire_rect(&typed); 2];
+    let cache_counters = |client: &mut Client| {
+        let stats = client.get("/stats").unwrap().json().unwrap();
+        let cache = stats.get("cache").unwrap();
+        let field = |name: &str| cache.get(name).and_then(|v| v.as_u64()).unwrap();
+        (field("misses"), field("entries"))
+    };
+    let batch = |client: &mut Client| {
+        let response = client
+            .post("/synopses/twice/query/batch", &batch_body(&rects))
+            .unwrap();
+        assert_eq!(response.status, 200, "batch failed: {}", response.body);
+        let reply = response.json().unwrap();
+        let answers: Vec<u64> = reply
+            .get("answers")
+            .and_then(|v| v.as_array())
+            .map(|a| a.iter().map(|x| x.as_f64().unwrap().to_bits()).collect())
+            .unwrap();
+        assert_eq!(answers, [direct.query(&typed).to_bits(); 2]);
+        reply.get("cache_hits").and_then(|v| v.as_u64()).unwrap()
+    };
+
+    let (misses, entries) = cache_counters(&mut client);
+    assert_eq!(batch(&mut client), 0, "both copies miss");
+    assert_eq!(cache_counters(&mut client), (misses + 2, entries + 1));
+    assert_eq!(batch(&mut client), 2, "both copies hit");
 }
 
 #[test]

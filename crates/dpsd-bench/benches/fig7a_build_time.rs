@@ -5,8 +5,15 @@
 //! config, the `dpsd-match`/eval multi-synopsis build pattern). The
 //! parallel build is asserted bit-identical to the sequential one —
 //! same released JSON per family — before timing begins.
+//!
+//! kd-standard, which draws a private median at every level, is timed
+//! beside the cost probe `build_quadtree_h{h}_x5` (five quadtree builds
+//! per iteration). A private-median build that sorts each axis once
+//! costs fewer than five quadtree builds; one that re-sorts every
+//! node's values at every split stage costs more, which bench-smoke
+//! turns into a gate with `compare_bench --assert-order`.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use dpsd_core::exec::{par_map_tasks, Parallelism};
 use dpsd_core::tree::PsdConfig;
 use dpsd_data::synthetic::{tiger_substitute, TIGER_DOMAIN};
@@ -35,7 +42,8 @@ fn bench(c: &mut Criterion) {
         ),
         ("hilbert_r", PsdConfig::hilbert_r(TIGER_DOMAIN, h, 0.5)),
     ];
-    for (name, config) in &configs {
+    let kd_standard = ("kd_standard", PsdConfig::kd_standard(TIGER_DOMAIN, h, 0.5));
+    for (name, config) in configs.iter().chain([&kd_standard]) {
         group.bench_function(format!("build_{name}_h{h}"), |b| {
             b.iter_batched(
                 || (points.clone(), config.clone()),
@@ -44,6 +52,18 @@ fn bench(c: &mut Criterion) {
             )
         });
     }
+    let quadtree = &configs[0].1;
+    group.bench_function(format!("build_quadtree_h{h}_x5"), |b| {
+        b.iter_batched(
+            || (points.clone(), quadtree.clone()),
+            |(pts, cfg)| {
+                for _ in 0..5 {
+                    black_box(cfg.build(&pts).unwrap());
+                }
+            },
+            BatchSize::LargeInput,
+        )
+    });
 
     // Multi-synopsis build: all four families at once, sequential vs
     // one worker per family. Every family's noise stream is pinned by

@@ -29,10 +29,20 @@ fn endpoint(sorted: &[f64], k: usize, lo: f64, hi: f64) -> f64 {
 /// Draws a private median of `sorted` (ascending, inside `[lo, hi]`) with
 /// privacy budget `eps`.
 ///
-/// Runs in `O(n)` time with no allocation: one pass accumulates the total
-/// mass, a second locates the sampled interval. Log-weights are at most 0
-/// (the median interval), so no overflow normalization is needed; far
-/// intervals underflow harmlessly to zero mass.
+/// Runs in `O(n)` time: `exp(-(eps/2) d)` is computed once per rank
+/// distance `d` into one weight vector (at most `⌈n/2⌉ + 1` entries), then
+/// one pass accumulates the total mass and a second locates the sampled
+/// interval. Log-weights are at most 0 (the median interval), so no
+/// overflow normalization is needed.
+///
+/// Both passes visit only the window of ranks whose weight is non-zero:
+/// `exp` is monotone, so once one distance underflows to 0 every
+/// farther one does too. The result is bit-identical to scanning all
+/// `n + 1` intervals: each skipped mass is `+0.0`, which leaves a
+/// non-negative running total unchanged and is passed over by the
+/// sampling pass. The one exception is a domain whose span overflows
+/// `f64`, where an infinite interval times a zero weight is NaN; such a
+/// span scans every interval.
 ///
 /// # Panics
 ///
@@ -57,34 +67,48 @@ pub fn exponential_median<R: Rng + ?Sized>(
     // 1-based median rank m: intervals are I_k = [x_k, x_{k+1}), k = 0..=n.
     let m = n.div_ceil(2);
     let half_eps = eps / 2.0;
-    let mass = |k: usize| -> f64 {
-        let a = endpoint(sorted, k, lo, hi);
-        let b = endpoint(sorted, k + 1, lo, hi);
-        let len = (b - a).max(0.0);
-        if len == 0.0 {
-            return 0.0;
-        }
-        let dist = k.abs_diff(m) as f64;
-        len * (-half_eps * dist).exp()
+    let farthest = m.max(n - m);
+    let weights: Vec<f64> = (0..=farthest)
+        .map(|d| (-half_eps * d as f64).exp())
+        .take_while(|&w| w > 0.0)
+        .collect();
+    let reach = if (hi - lo).is_finite() {
+        // Empty only for eps = inf, whose weights are all NaN or 0.
+        weights.len().saturating_sub(1)
+    } else {
+        farthest
     };
-    let mut total = 0.0;
-    for k in 0..=n {
-        total += mass(k);
-    }
+    let window = m - reach.min(m)..=(m + reach).min(n);
+    // `(x_k, x_{k+1}, mass)` of each interval of the window, in rank
+    // order, reading every endpoint once.
+    let weights = &weights;
+    let intervals = || {
+        let mut a = endpoint(sorted, *window.start(), lo, hi);
+        window.clone().map(move |k| {
+            let b = endpoint(sorted, k + 1, lo, hi);
+            let len = (b - a).max(0.0);
+            let mass = if len == 0.0 {
+                0.0
+            } else {
+                len * weights.get(k.abs_diff(m)).copied().unwrap_or(0.0)
+            };
+            let interval = (a, b, mass);
+            a = b;
+            interval
+        })
+    };
+    let total = intervals().fold(0.0, |total, (_, _, w)| total + w);
     if !total.is_finite() || total <= 0.0 {
         // All intervals degenerate (all data equal to lo == hi corner
         // cases): return the common value.
         return sorted[(n - 1) / 2].clamp(lo, hi);
     }
     let mut target = rng.gen::<f64>() * total;
-    for k in 0..=n {
-        let w = mass(k);
+    for (a, b, w) in intervals() {
         if w <= 0.0 {
             continue;
         }
         if target < w {
-            let a = endpoint(sorted, k, lo, hi);
-            let b = endpoint(sorted, k + 1, lo, hi);
             let frac = (target / w).clamp(0.0, 1.0);
             return a + frac * (b - a);
         }
@@ -196,6 +220,116 @@ mod tests {
             "success rate {} below Lemma 6 bound",
             ok as f64 / trials as f64
         );
+    }
+
+    /// The mechanism as a scan of every interval `0..=n`, calling `exp`
+    /// for each interval in both passes: the oracle the windowed scan
+    /// must reproduce bit for bit.
+    fn full_scan<R: Rng + ?Sized>(rng: &mut R, sorted: &[f64], lo: f64, hi: f64, eps: f64) -> f64 {
+        let n = sorted.len();
+        let m = n.div_ceil(2);
+        let half_eps = eps / 2.0;
+        let mass = |k: usize| -> f64 {
+            let a = endpoint(sorted, k, lo, hi);
+            let b = endpoint(sorted, k + 1, lo, hi);
+            let len = (b - a).max(0.0);
+            if len == 0.0 {
+                return 0.0;
+            }
+            let dist = k.abs_diff(m) as f64;
+            len * (-half_eps * dist).exp()
+        };
+        let mut total = 0.0;
+        for k in 0..=n {
+            total += mass(k);
+        }
+        if !total.is_finite() || total <= 0.0 {
+            return sorted[(n - 1) / 2].clamp(lo, hi);
+        }
+        let mut target = rng.gen::<f64>() * total;
+        for k in 0..=n {
+            let w = mass(k);
+            if w <= 0.0 {
+                continue;
+            }
+            if target < w {
+                let a = endpoint(sorted, k, lo, hi);
+                let b = endpoint(sorted, k + 1, lo, hi);
+                let frac = (target / w).clamp(0.0, 1.0);
+                return a + frac * (b - a);
+            }
+            target -= w;
+        }
+        sorted[(n - 1) / 2].clamp(lo, hi)
+    }
+
+    /// Data whose only non-degenerate interval is `I_gap = [lo, hi)`:
+    /// `gap` copies of `lo`, then copies of `hi` up to `n` values.
+    fn one_gap(n: usize, gap: usize, lo: f64, hi: f64) -> Vec<f64> {
+        let mut sorted = vec![lo; gap];
+        sorted.resize(n, hi);
+        sorted
+    }
+
+    /// The largest rank distance whose weight `exp(-(eps/2) d)` is
+    /// still non-zero.
+    fn farthest_nonzero(eps: f64) -> usize {
+        (0usize..)
+            .take_while(|&d| (-(eps / 2.0) * d as f64).exp() > 0.0)
+            .last()
+            .unwrap()
+    }
+
+    /// Every `(n, gap)` placing the lone gap `distance(eps)` ranks above
+    /// and below the median, at odd and even `n`, for several `eps`
+    /// whose weights underflow within a few hundred ranks.
+    fn gap_cases(distance: impl Fn(f64) -> usize) -> Vec<(f64, usize, usize)> {
+        let mut cases = Vec::new();
+        for eps in [3.0, 5.0, 8.0] {
+            let d = distance(eps);
+            for n in [2 * d + 40, 2 * d + 41] {
+                let m = n.div_ceil(2);
+                cases.push((eps, n, m + d));
+                cases.push((eps, n, m - d));
+            }
+        }
+        cases
+    }
+
+    #[test]
+    fn a_gap_at_the_farthest_nonzero_weight_is_still_drawn() {
+        let (lo, hi) = (-1e300, 1e300);
+        for (eps, n, gap) in gap_cases(farthest_nonzero) {
+            assert!(
+                farthest_nonzero(eps) < 500,
+                "weights underflow within 500 ranks"
+            );
+            let sorted = one_gap(n, gap, lo, hi);
+            for seed in 0..40 {
+                let got = exponential_median(&mut seeded(seed), &sorted, lo, hi, eps);
+                let want = full_scan(&mut seeded(seed), &sorted, lo, hi, eps);
+                assert_eq!(got.to_bits(), want.to_bits(), "eps {eps} n {n} gap {gap}");
+                assert!(
+                    lo < got && got < hi,
+                    "eps {eps} n {n} gap {gap}: {got} not in the gap"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_gap_one_rank_past_the_last_nonzero_weight_falls_back_to_the_median() {
+        let (lo, hi) = (-1e300, 1e300);
+        for (eps, n, gap) in gap_cases(|eps| farthest_nonzero(eps) + 1) {
+            let sorted = one_gap(n, gap, lo, hi);
+            let median = sorted[(n - 1) / 2];
+            for seed in 0..40 {
+                let got = exponential_median(&mut seeded(seed), &sorted, lo, hi, eps);
+                let want = full_scan(&mut seeded(seed), &sorted, lo, hi, eps);
+                assert_eq!(got.to_bits(), want.to_bits(), "eps {eps} n {n} gap {gap}");
+                assert_eq!(got.to_bits(), median.to_bits(), "eps {eps} n {n} gap {gap}");
+            }
+        }
     }
 
     #[test]

@@ -30,6 +30,7 @@ pub use smooth::{smooth_sensitivity_median, smooth_sensitivity_sigma, smoothing_
 
 use crate::mech::sampling::{bernoulli_sample, SamplingPlan};
 use rand::Rng;
+use std::borrow::Cow;
 
 /// The exact (non-private) lower median of a sorted slice.
 ///
@@ -87,8 +88,16 @@ impl MedianSelector {
         }
     }
 
-    /// Selects a private split value for `values` (need not be sorted)
-    /// lying in the domain `[lo, hi]`, spending privacy budget `eps`.
+    /// Selects a private split value for `values` lying in the domain
+    /// `[lo, hi]`, spending privacy budget `eps`.
+    ///
+    /// `values` need not be sorted, but input already in
+    /// [`f64::total_cmp`] order is borrowed as it is: the tree builders
+    /// keep every node's values sorted, so a split stage costs no copy
+    /// and no sort here. Unsorted input is copied and sorted; since a
+    /// `total_cmp` sort is fixed by the multiset of values, both give
+    /// the mechanism the same sequence. A Bernoulli sample is drawn in
+    /// input order.
     ///
     /// Returns the domain midpoint for an empty input: with no data every
     /// split is equally useless, and the midpoint keeps the tree balanced
@@ -106,7 +115,7 @@ impl MedianSelector {
             return lo + (hi - lo) / 2.0;
         }
         // Sampling (Theorem 7): run on a sample with boosted budget.
-        let (owned, run_eps): (Vec<f64>, f64) = match self.sampling {
+        let (run, run_eps): (Cow<'_, [f64]>, f64) = match self.sampling {
             Some(plan)
                 if matches!(
                     self.config,
@@ -114,15 +123,20 @@ impl MedianSelector {
                 ) =>
             {
                 let sample = bernoulli_sample(rng, values, plan.rate);
-                (sample, plan.mechanism_epsilon(eps))
+                (Cow::Owned(sample), plan.mechanism_epsilon(eps))
             }
-            _ => (values.to_vec(), eps),
+            _ => (Cow::Borrowed(values), eps),
         };
-        let mut sorted = owned;
-        if sorted.is_empty() {
+        if run.is_empty() {
             return lo + (hi - lo) / 2.0;
         }
-        sorted.sort_unstable_by(f64::total_cmp);
+        let sorted = if run.is_sorted_by(|a, b| a.total_cmp(b).is_le()) {
+            run
+        } else {
+            let mut owned = run.into_owned();
+            owned.sort_unstable_by(f64::total_cmp);
+            Cow::Owned(owned)
+        };
         let out = match self.config {
             MedianConfig::Exact => exact_median(&sorted),
             MedianConfig::Exponential => exponential_median(rng, &sorted, lo, hi, run_eps),

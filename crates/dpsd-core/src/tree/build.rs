@@ -19,6 +19,17 @@
 //!    the `D` stages, and the splits of each stage operate on *disjoint*
 //!    pieces, so parallel composition keeps the per-level spend at
 //!    `eps_median[i]` (Section 6.2).
+//!
+//!    Private-median levels sort each axis once per build: one sorted
+//!    `f64` value column and one `u32` point-index column per axis
+//!    (12 bytes per point per axis, plus a side bit and a 12-byte spill
+//!    slot for half the points: 30.1 bytes per point at `D = 2`, 32 at
+//!    peak while the columns are sorted). Every node owns the same range
+//!    of every column, so a split stage hands the median mechanism a
+//!    sorted slice without copying or sorting it, and splitting stably
+//!    partitions the other columns. Midpoint levels partition a point
+//!    buffer in place and never sort. Hilbert-R sorts its curve indices
+//!    once the same way.
 //! 2. **Counts**: each node's exact count is perturbed with
 //!    `Lap(1 / eps_count[level])`; levels with zero budget withhold
 //!    their counts entirely (Section 4.2's "conserve the budget").
@@ -163,6 +174,9 @@ pub enum BuildError {
     /// The requested dimension is unsupported (`D = 0` is rejected for
     /// every kind).
     UnsupportedDimension { kind: TreeKind, dims: usize },
+    /// More points (carried) than a private-median build's `u32` point
+    /// indices can address.
+    TooManyPoints(usize),
 }
 
 impl fmt::Display for BuildError {
@@ -199,6 +213,11 @@ impl fmt::Display for BuildError {
             BuildError::UnsupportedDimension { kind, dims } => {
                 write!(f, "{kind} does not support dimension {dims}")
             }
+            BuildError::TooManyPoints(n) => write!(
+                f,
+                "{n} points exceed the {} a private-median build can index",
+                u32::MAX
+            ),
         }
     }
 }
@@ -475,15 +494,14 @@ impl<const D: usize> PsdConfig<D> {
                 )?;
             }
             _ => {
-                let mut buf: Vec<Point<D>> = points.to_vec();
                 build_axis_split_structure(
                     self,
                     &eps_median,
-                    &mut buf,
+                    points,
                     &mut rects,
                     &mut true_counts,
                     &mut rng,
-                );
+                )?;
             }
         }
 
@@ -583,8 +601,12 @@ impl<const D: usize> PsdConfig<D> {
     }
 }
 
+/// The `(box, start, len)` pieces a node is cut into: a box and its
+/// range in the node's point slice (or in every sorted column).
+type Piece<const D: usize> = (Rect<D>, usize, usize);
+
 /// Builds the structure of axis-splitting trees (midpoint and kd
-/// variants) by recursive in-place partitioning of the point buffer.
+/// variants).
 ///
 /// A flattened node splits its box along every axis in sequence — axis 0
 /// first, then axis 1 on each half, and so on — producing `2^D` children
@@ -594,113 +616,320 @@ impl<const D: usize> PsdConfig<D> {
 /// `ll, lh, rl, rh`, the level's median budget halved between the two
 /// stages, and the identical RNG consumption order.
 ///
-/// Pieces are `(box, start, len)` ranges into the node's point slice,
-/// and the piece buffers are recycled through a pool, so the recursion
-/// allocates `O(depth)` vectors instead of two per node.
+/// Median levels run over [`SortedColumns`], which sort each axis once
+/// for the whole build, so a split stage hands the selector its piece's
+/// values as an already-sorted slice. The selector sees the same
+/// sequence a per-node sort would give, because a `total_cmp` sort is
+/// fixed by the multiset of values, and it is called in the same
+/// depth-first order. Midpoint levels (the whole quadtree, and a hybrid
+/// below `switch_levels`) partition a point buffer in place and never
+/// presort: a quadtree copies the points once, and a hybrid gathers
+/// each switch-level subtree's points into one reused buffer.
 fn build_axis_split_structure<const D: usize>(
     config: &PsdConfig<D>,
     eps_median: &[f64],
-    points: &mut [Point<D>],
+    points: &[Point<D>],
     rects: &mut [Rect<D>],
     true_counts: &mut [f64],
     rng: &mut StdRng,
-) {
-    // Depth-first recursion; depth <= 12 so stack use is trivial.
-    #[allow(clippy::too_many_arguments)]
-    fn recurse<const D: usize>(
-        config: &PsdConfig<D>,
-        eps_median: &[f64],
-        v: usize,
-        depth: usize,
-        rect: Rect<D>,
-        pts: &mut [Point<D>],
-        rects: &mut [Rect<D>],
-        true_counts: &mut [f64],
-        rng: &mut StdRng,
-        pool: &mut Vec<Vec<(Rect<D>, usize, usize)>>,
-    ) {
-        rects[v] = rect;
-        true_counts[v] = pts.len() as f64;
-        if depth == config.height {
-            return;
+) -> Result<(), BuildError> {
+    let median_depths = match config.kind {
+        TreeKind::KdStandard | TreeKind::KdNoisyMean | TreeKind::KdPure | TreeKind::KdTrue => {
+            config.height
         }
-        let level = config.height - depth;
-        let data_dependent_here = match config.kind {
-            TreeKind::KdStandard | TreeKind::KdNoisyMean => true,
-            TreeKind::KdPure | TreeKind::KdTrue => true,
-            TreeKind::KdHybrid => depth < config.switch_levels,
-            _ => false,
-        };
-        // kd-pure / kd-true use exact medians: any positive epsilon is
-        // accepted by the selector but unused. Private kinds divide the
-        // level's budget evenly over the D split stages.
-        let eps_stage = if matches!(config.kind, TreeKind::KdPure | TreeKind::KdTrue) {
-            1.0
-        } else {
-            eps_median[level] / D as f64
-        };
-        // Split along each axis in turn; every round doubles the piece
-        // list, keeping (box, range) entries aligned with the in-place
-        // partitioning of `pts`.
-        let mut pieces = pool.pop().unwrap_or_default();
-        pieces.push((rect, 0, pts.len()));
-        for axis in 0..D {
-            let mut next = pool.pop().unwrap_or_default();
-            for &(r, start, len) in pieces.iter() {
-                let slice = &mut pts[start..start + len];
-                let split = if data_dependent_here {
-                    let mut vals: Vec<f64> = slice.iter().map(|p| p.coords[axis]).collect();
-                    vals.sort_unstable_by(f64::total_cmp);
-                    config.median.select(
-                        rng,
-                        &vals,
-                        r.min[axis],
-                        r.max[axis],
-                        eps_stage.max(f64::MIN_POSITIVE),
-                    )
-                } else {
-                    r.midpoint(axis)
-                };
-                let (r_lo, r_hi) = r.split_at(axis, split);
-                let boundary = r_lo.max[axis];
-                let mid = partition_in_place(slice, |p| p.coords[axis] < boundary);
-                next.push((r_lo, start, mid));
-                next.push((r_hi, start + mid, len - mid));
-            }
-            pieces.clear();
-            pool.push(std::mem::replace(&mut pieces, next));
-        }
-        let first_child = (1usize << D) * v + 1;
-        for (j, &(child_rect, start, len)) in pieces.iter().enumerate() {
-            recurse(
-                config,
-                eps_median,
-                first_child + j,
-                depth + 1,
-                child_rect,
-                &mut pts[start..start + len],
-                rects,
-                true_counts,
-                rng,
-                pool,
-            );
-        }
-        pieces.clear();
-        pool.push(pieces);
-    }
+        TreeKind::KdHybrid => config.switch_levels.min(config.height),
+        _ => 0,
+    };
     let mut pool = Vec::new();
-    recurse(
+    if median_depths == 0 {
+        let mut buf = points.to_vec();
+        split_midpoints(
+            config.height,
+            0,
+            0,
+            config.domain,
+            &mut buf,
+            rects,
+            true_counts,
+            &mut pool,
+        );
+        return Ok(());
+    }
+    MedianSplits {
         config,
         eps_median,
-        0,
-        0,
-        config.domain,
+        median_depths,
         points,
+        cols: SortedColumns::new(points)?,
         rects,
         true_counts,
         rng,
-        &mut pool,
-    );
+        pool,
+        buf: Vec::new(),
+    }
+    .split(0, 0, config.domain, 0, points.len());
+    Ok(())
+}
+
+/// Cuts one node's box along every axis in turn and returns its `2^D`
+/// children as pieces. `cut(axis, piece)` splits one piece along `axis`
+/// and returns the two boxes and the length of the low side, which it
+/// has moved to the front of the piece's range. Piece vectors are
+/// recycled through `pool`, so a build allocates `O(depth)` of them
+/// rather than two per node; hand the result back to `pool` when done.
+fn split_node<const D: usize>(
+    rect: Rect<D>,
+    start: usize,
+    len: usize,
+    pool: &mut Vec<Vec<Piece<D>>>,
+    mut cut: impl FnMut(usize, Piece<D>) -> (Rect<D>, Rect<D>, usize),
+) -> Vec<Piece<D>> {
+    let mut pieces = pool.pop().unwrap_or_default();
+    pieces.push((rect, start, len));
+    for axis in 0..D {
+        let mut next = pool.pop().unwrap_or_default();
+        for &piece in pieces.iter() {
+            let (_, start, len) = piece;
+            let (r_lo, r_hi, mid) = cut(axis, piece);
+            next.push((r_lo, start, mid));
+            next.push((r_hi, start + mid, len - mid));
+        }
+        pieces.clear();
+        pool.push(std::mem::replace(&mut pieces, next));
+    }
+    pieces
+}
+
+/// Midpoint levels from node `v` down: each split stage partitions the
+/// node's point slice in place (depth-first; depth <= 12, so stack use
+/// is trivial).
+#[allow(clippy::too_many_arguments)]
+fn split_midpoints<const D: usize>(
+    height: usize,
+    v: usize,
+    depth: usize,
+    rect: Rect<D>,
+    pts: &mut [Point<D>],
+    rects: &mut [Rect<D>],
+    true_counts: &mut [f64],
+    pool: &mut Vec<Vec<Piece<D>>>,
+) {
+    rects[v] = rect;
+    true_counts[v] = pts.len() as f64;
+    if depth == height {
+        return;
+    }
+    let mut children = split_node(rect, 0, pts.len(), pool, |axis, (r, start, len)| {
+        let (r_lo, r_hi) = r.split_at(axis, r.midpoint(axis));
+        let boundary = r_lo.max[axis];
+        let mid = partition_in_place(&mut pts[start..start + len], |p| p.coords[axis] < boundary);
+        (r_lo, r_hi, mid)
+    });
+    let first_child = (1usize << D) * v + 1;
+    for (j, &(child_rect, start, len)) in children.iter().enumerate() {
+        split_midpoints(
+            height,
+            first_child + j,
+            depth + 1,
+            child_rect,
+            &mut pts[start..start + len],
+            rects,
+            true_counts,
+            pool,
+        );
+    }
+    children.clear();
+    pool.push(children);
+}
+
+/// The median levels of one axis-split build, over [`SortedColumns`].
+struct MedianSplits<'a, const D: usize> {
+    config: &'a PsdConfig<D>,
+    eps_median: &'a [f64],
+    /// Depth of the first midpoint level (`height` when every level
+    /// splits at a median).
+    median_depths: usize,
+    points: &'a [Point<D>],
+    cols: SortedColumns<D>,
+    rects: &'a mut [Rect<D>],
+    true_counts: &'a mut [f64],
+    rng: &'a mut StdRng,
+    pool: Vec<Vec<Piece<D>>>,
+    /// The points of the switch-level subtree under midpoint splits.
+    buf: Vec<Point<D>>,
+}
+
+impl<const D: usize> MedianSplits<'_, D> {
+    /// Node `v` at `depth` owns `[start, start + len)` of every column.
+    fn split(&mut self, v: usize, depth: usize, rect: Rect<D>, start: usize, len: usize) {
+        self.rects[v] = rect;
+        self.true_counts[v] = len as f64;
+        if depth == self.config.height {
+            return;
+        }
+        if depth == self.median_depths {
+            let ids = &self.cols.ids[0][start..start + len];
+            self.buf.clear();
+            self.buf
+                .extend(ids.iter().map(|&id| self.points[id as usize]));
+            split_midpoints(
+                self.config.height,
+                v,
+                depth,
+                rect,
+                &mut self.buf,
+                self.rects,
+                self.true_counts,
+                &mut self.pool,
+            );
+            return;
+        }
+        // kd-pure / kd-true use exact medians: any positive epsilon is
+        // accepted by the selector but unused. Private kinds divide the
+        // level's budget evenly over the D split stages.
+        let eps_stage = if matches!(self.config.kind, TreeKind::KdPure | TreeKind::KdTrue) {
+            1.0
+        } else {
+            self.eps_median[self.config.height - depth] / D as f64
+        };
+        let (config, cols, rng) = (self.config, &mut self.cols, &mut *self.rng);
+        let mut children = split_node(rect, start, len, &mut self.pool, |axis, (r, start, len)| {
+            let split = config.median.select(
+                rng,
+                &cols.vals[axis][start..start + len],
+                r.min[axis],
+                r.max[axis],
+                eps_stage.max(f64::MIN_POSITIVE),
+            );
+            let (r_lo, r_hi) = r.split_at(axis, split);
+            let mid = cols.partition(axis, start, len, r_lo.max[axis]);
+            (r_lo, r_hi, mid)
+        });
+        let first_child = (1usize << D) * v + 1;
+        for (j, &(child_rect, start, len)) in children.iter().enumerate() {
+            self.split(first_child + j, depth + 1, child_rect, start, len);
+        }
+        children.clear();
+        self.pool.push(children);
+    }
+}
+
+/// Every point's coordinates, sorted once per axis for a whole build.
+///
+/// Column `axis` is `vals[axis]`, the coordinates in [`f64::total_cmp`]
+/// order, beside `ids[axis]`, the index of the point each came from. A
+/// node owns the same `[start, start + len)` range in every column, so
+/// its values along any axis are always one sorted slice. Splitting a
+/// range at a boundary along `axis` leaves that axis's column as it is
+/// (the low side is a prefix) and stably partitions the other `D - 1`
+/// columns by a per-point side bit, which keeps each of them sorted.
+///
+/// Scratch per point: 12 bytes per axis (an `f64` and a `u32`), one
+/// side bit, and a 12-byte spill slot for at most half the points, so
+/// 30.1 bytes at `D = 2`. Building a column sorts `(f64, u32)` pairs,
+/// 16 bytes padded; the last column gathers its values from the points
+/// after its pairs are freed, which caps that phase at `12 · D + 8`
+/// bytes (32 at `D = 2`).
+struct SortedColumns<const D: usize> {
+    vals: [Vec<f64>; D],
+    ids: [Vec<u32>; D],
+    /// Side of each point in the split under way: bit set = low side.
+    low: Vec<u64>,
+    /// The smaller side of a stable partition, parked while the larger
+    /// side is packed in place (`n / 2 + 1` slots).
+    spill_vals: Vec<f64>,
+    spill_ids: Vec<u32>,
+}
+
+impl<const D: usize> SortedColumns<D> {
+    fn new(points: &[Point<D>]) -> Result<Self, BuildError> {
+        let n = u32::try_from(points.len()).map_err(|_| BuildError::TooManyPoints(points.len()))?;
+        let mut vals: [Vec<f64>; D] = std::array::from_fn(|_| Vec::new());
+        let mut ids: [Vec<u32>; D] = std::array::from_fn(|_| Vec::new());
+        for axis in 0..D {
+            let mut keyed: Vec<(f64, u32)> = points
+                .iter()
+                .zip(0..n)
+                .map(|(p, id)| (p.coords[axis], id))
+                .collect();
+            keyed.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+            ids[axis] = keyed.iter().map(|&(_, id)| id).collect();
+            if axis + 1 < D {
+                vals[axis] = keyed.iter().map(|&(v, _)| v).collect();
+            } else {
+                drop(keyed);
+                vals[axis] = ids[axis]
+                    .iter()
+                    .map(|&id| points[id as usize].coords[axis])
+                    .collect();
+            }
+        }
+        let slots = points.len() / 2 + 1;
+        Ok(SortedColumns {
+            vals,
+            ids,
+            low: vec![0; points.len().div_ceil(64)],
+            spill_vals: vec![0.0; slots],
+            spill_ids: vec![0; slots],
+        })
+    }
+
+    /// Splits the range `[start, start + len)` at `boundary` along
+    /// `axis` and returns the length of its low side, the values
+    /// `< boundary`: the same set `partition_in_place` would move to the
+    /// front.
+    fn partition(&mut self, axis: usize, start: usize, len: usize, boundary: f64) -> usize {
+        let range = start..start + len;
+        let mid = self.vals[axis][range.clone()].partition_point(|&x| x < boundary);
+        if D == 1 || mid == 0 || mid == len {
+            return mid;
+        }
+        let SortedColumns {
+            vals,
+            ids,
+            low,
+            spill_vals,
+            spill_ids,
+        } = self;
+        let (low_ids, high_ids) = ids[axis][range.clone()].split_at(mid);
+        for &id in low_ids {
+            low[id as usize / 64] |= 1 << (id % 64);
+        }
+        for &id in high_ids {
+            low[id as usize / 64] &= !(1 << (id % 64));
+        }
+        // Park the smaller side, so the spill never holds more than half
+        // the points, and pack the larger one in place.
+        let keep_low = mid > len - mid;
+        let kept = if keep_low { mid } else { len - mid };
+        for other in (0..D).filter(|&k| k != axis) {
+            let vals = &mut vals[other][range.clone()];
+            let ids = &mut ids[other][range.clone()];
+            // One branch-free forward pass: every entry is written to
+            // both the packed front and the spill, and only its own
+            // side's cursor advances (`w <= r`, so nothing unread is
+            // overwritten).
+            let (mut w, mut s) = (0, 0);
+            for r in 0..len {
+                let (v, id) = (vals[r], ids[r]);
+                let keep = (low[id as usize / 64] >> (id % 64) & 1 == 1) == keep_low;
+                vals[w] = v;
+                ids[w] = id;
+                spill_vals[s] = v;
+                spill_ids[s] = id;
+                w += usize::from(keep);
+                s += usize::from(!keep);
+            }
+            if !keep_low {
+                vals.copy_within(..kept, mid);
+                ids.copy_within(..kept, mid);
+            }
+            let parked = if keep_low { mid..len } else { 0..mid };
+            vals[parked.clone()].copy_from_slice(&spill_vals[..len - kept]);
+            ids[parked].copy_from_slice(&spill_ids[..len - kept]);
+        }
+        mid
+    }
 }
 
 /// Hoare-style in-place partition: elements satisfying `pred` move to the

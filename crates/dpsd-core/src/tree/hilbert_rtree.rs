@@ -14,18 +14,19 @@
 //! method still applies because each node's *points* are exactly those
 //! with indices in its range, and they all lie inside its rectangle.
 
-use super::build::{partition_in_place, BuildError, PsdConfig, TreeKind};
+use super::build::{BuildError, PsdConfig, TreeKind};
 use crate::geometry::{Point, Rect};
 use crate::median::MedianSelector;
 use dpsd_hilbert::NdCurve;
 use rand::rngs::StdRng;
 
-/// Selects a private split index inside `[lo, hi)` (index values stay
-/// exact in `f64` because build validation caps `order * D` at 52 bits).
+/// Selects a private split index inside `[lo, hi)` from the sorted
+/// curve indices of one node (index values stay exact in `f64` because
+/// build validation caps `order * D` at 52 bits).
 fn split_index(
     selector: &MedianSelector,
     rng: &mut StdRng,
-    values: &mut [u64],
+    sorted: &[f64],
     lo: u64,
     hi: u64,
     eps: f64,
@@ -33,10 +34,9 @@ fn split_index(
     if hi <= lo + 1 {
         return hi; // nothing to split: low child takes the whole range
     }
-    let vals: Vec<f64> = values.iter().map(|&v| v as f64).collect();
     let picked = selector.select(
         rng,
-        &vals,
+        sorted,
         lo as f64,
         (hi - 1) as f64,
         eps.max(f64::MIN_POSITIVE),
@@ -75,16 +75,19 @@ pub(crate) fn build_structure_nd<const D: usize>(
         *wk = domain.side(k) / side;
     }
 
-    let mut indices: Vec<u64> = points
+    // Curve indices as exact f64s, sorted once: every node's index
+    // range is then one sorted slice, split without moving anything.
+    let mut indices: Vec<f64> = points
         .iter()
         .map(|p| {
             let mut cell = [0u64; D];
             for k in 0..D {
                 cell[k] = (((p.coords[k] - domain.min[k]) / w[k]) as u64).min(curve.side() - 1);
             }
-            curve.encode(cell)
+            curve.encode(cell) as f64
         })
         .collect();
+    indices.sort_unstable_by(f64::total_cmp);
 
     let range_rect = |lo: u64, hi: u64| -> Rect<D> {
         if hi > lo {
@@ -118,7 +121,7 @@ pub(crate) fn build_structure_nd<const D: usize>(
         depth: usize,
         lo: u64,
         hi: u64,
-        idx: &mut [u64],
+        idx: &[f64],
         rects: &mut [Rect<D>],
         true_counts: &mut [f64],
         range_rect: &dyn Fn(u64, u64) -> Rect<D>,
@@ -131,15 +134,15 @@ pub(crate) fn build_structure_nd<const D: usize>(
         let level = config.height - depth;
         let eps_stage = eps_median[level] / D as f64;
         // D rounds of binary range splits yield the node's 2^D children
-        // ((range, slice-offset, slice-length) pieces, kept aligned with
-        // the in-place partitioning of `idx`).
+        // ((range, slice-offset, slice-length) pieces; the indices below
+        // a split are a prefix of the sorted slice).
         let mut pieces: Vec<(u64, u64, usize, usize)> = vec![(lo, hi, 0, idx.len())];
         for _stage in 0..D {
             let mut next = Vec::with_capacity(pieces.len() * 2);
             for &(r_lo, r_hi, start, len) in pieces.iter() {
-                let slice = &mut idx[start..start + len];
+                let slice = &idx[start..start + len];
                 let s = split_index(&config.median, rng, slice, r_lo, r_hi, eps_stage);
-                let mid = partition_in_place(slice, |&i| i < s);
+                let mid = slice.partition_point(|&i| i < s as f64);
                 next.push((r_lo, s, start, mid));
                 next.push((s, r_hi, start + mid, len - mid));
             }
@@ -155,7 +158,7 @@ pub(crate) fn build_structure_nd<const D: usize>(
                 depth + 1,
                 r_lo,
                 r_hi,
-                &mut idx[start..start + len],
+                &idx[start..start + len],
                 rects,
                 true_counts,
                 range_rect,
@@ -184,7 +187,7 @@ pub(crate) fn build_structure_nd<const D: usize>(
         0,
         0,
         curve.cell_count(),
-        &mut indices,
+        &indices,
         rects,
         true_counts,
         &range_rect,

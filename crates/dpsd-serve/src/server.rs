@@ -659,6 +659,7 @@ fn ingest_report_value(name: &str, report: &IngestReport) -> Value {
 }
 
 fn handle_ingest(state: &ServerState, name: &str, request: &Request) -> Result<String, ServeError> {
+    state.streams.ensure_exists(name)?;
     let body = parse_json_body(request)?;
     let points_value = body
         .get("points")

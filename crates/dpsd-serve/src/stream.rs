@@ -353,6 +353,13 @@ impl StreamManager {
             .ok_or_else(|| ServeError::UnknownSynopsis(format!("stream `{name}`")))
     }
 
+    /// Fails with the 404 [`ServeError::UnknownSynopsis`] unless the
+    /// named stream exists, so the server can answer an unknown name
+    /// before it parses a request body.
+    pub fn ensure_exists(&self, name: &str) -> Result<(), ServeError> {
+        self.get(name).map(|_| ())
+    }
+
     /// Absorbs `points` (wire coordinates) into the named stream in
     /// order, materializing and publishing a release every time the
     /// stream total crosses an epoch boundary. One request may cross

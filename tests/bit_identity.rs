@@ -9,6 +9,7 @@
 //! RNG consumption order, budget allocation, noise application order, or
 //! OLS post-processing shows up here as a changed hash.
 
+use dpsd::core::mech::sampling::SamplingPlan;
 use dpsd::prelude::*;
 
 /// FNV-style multiply-xor fold over little-endian u64 words. (The
@@ -556,6 +557,157 @@ fn grid_and_curve_families_match_their_byte_pins() {
     }
 }
 
+/// A tie-heavy dataset over `[-32, 32]^D`, a domain that straddles 0:
+/// every coordinate value repeats many times, a third of them sit
+/// exactly on a midpoint split boundary of the domain (0, ±8, ±16,
+/// ±24), and both `-0.0` and `+0.0` occur on every axis (no RNG).
+fn tie_points<const D: usize>() -> Vec<Point<D>> {
+    const ON_MIDPOINTS: [f64; 6] = [-16.0, 16.0, -8.0, 8.0, 24.0, -24.0];
+    (0..900)
+        .map(|i: usize| {
+            let mut coords = [0.0; D];
+            for (k, c) in coords.iter_mut().enumerate() {
+                *c = match (i + k) % 6 {
+                    0 => -0.0,
+                    1 => 0.0,
+                    2 => ON_MIDPOINTS[(i / 6 + k) % 6],
+                    3 => -32.0 + ((i * (k + 2)) % 9) as f64 * 8.0,
+                    4 => 3.5,
+                    _ => -((i / 7 % 13) as f64) * 1.25,
+                };
+            }
+            Point::from_coords(coords)
+        })
+        .collect()
+}
+
+/// Folds one release's full `dpsd-bin` bytes, seeding the build from
+/// the probe name so that adding probes moves no other pin.
+fn release_print<const D: usize>(
+    name: String,
+    config: &PsdConfig<D>,
+    pts: &[Point<D>],
+) -> (String, u64) {
+    let mut seed = Fnv::new();
+    seed.bytes(name.as_bytes());
+    let bytes = config
+        .clone()
+        .with_seed(seed.0)
+        .build(pts)
+        .unwrap()
+        .release()
+        .to_flat_bytes();
+    let mut h = Fnv::new();
+    h.bytes(&bytes);
+    (name, h.0)
+}
+
+/// Builds each axis-splitting median family (kd-standard, kd-hybrid,
+/// kd-noisymean, kd-true, kd-pure) at every height of `heights` over
+/// both probe datasets and the tie-heavy one, and folds each release's
+/// `dpsd-bin` bytes.
+fn kd_probe_prints<const D: usize>(heights: &[usize]) -> Vec<(String, u64)> {
+    let probe = Rect::from_corners([0.0; D], [64.0; D]).unwrap();
+    let ties = Rect::from_corners([-32.0; D], [32.0; D]).unwrap();
+    let mut prints = Vec::new();
+    for (set, domain, pts) in [
+        ("set0", probe, probe_points::<D>(0)),
+        ("set1", probe, probe_points::<D>(1)),
+        ("ties", ties, tie_points::<D>()),
+    ] {
+        for &h in heights {
+            for (tag, config) in [
+                ("kd-standard", PsdConfig::kd_standard(domain, h, 0.8)),
+                ("kd-hybrid", PsdConfig::kd_hybrid(domain, h, 0.6, h / 2)),
+                ("kd-noisymean", PsdConfig::kd_noisymean(domain, h, 0.5)),
+                ("kd-true", PsdConfig::kd_true(domain, h, 0.7)),
+                ("kd-pure", PsdConfig::kd_pure(domain, h)),
+            ] {
+                prints.push(release_print(
+                    format!("{tag}/d{D}/h{h}/{set}"),
+                    &config,
+                    &pts,
+                ));
+            }
+        }
+    }
+    prints
+}
+
+/// Pins the full `dpsd-bin` bytes of the private-median families where
+/// the planar `GOLDEN` table cannot see them: every axis-splitting
+/// median family at `D` in {1, 3, 4} and, at `D = 2`, on the tie-heavy
+/// dataset, plus the sampled exponential and the smooth-sensitivity
+/// selectors at `D = 2`. Captured before the builder sorted each axis
+/// once per build, so they pin that presorting reproduces the per-node
+/// sorts bit for bit. Regenerate with `PRINT_FINGERPRINTS=1` only for a
+/// deliberate change.
+#[test]
+fn median_families_match_their_byte_pins() {
+    let mut prints = kd_probe_prints::<1>(&[4, 7]);
+    prints.extend(kd_probe_prints::<3>(&[2, 3]));
+    prints.extend(kd_probe_prints::<4>(&[1, 2]));
+    let ties = Rect::from_corners([-32.0; 2], [32.0; 2]).unwrap();
+    for config in [
+        PsdConfig::kd_standard(ties, 4, 0.8),
+        PsdConfig::kd_hybrid(ties, 5, 0.6, 2),
+        PsdConfig::kd_noisymean(ties, 3, 0.5),
+        PsdConfig::kd_true(ties, 3, 0.7),
+        PsdConfig::kd_pure(ties, 4),
+    ] {
+        let name = format!("{}/d2/h{}/ties", config.kind, config.height);
+        prints.push(release_print(name, &config, &tie_points::<2>()));
+    }
+    // A 1% sample of the 1,200 probe points is too thin to reach the
+    // mechanism below the root, so the selector probes also run over
+    // 20,000 scattered points.
+    let domain = Rect::from_corners([0.0; 2], [64.0; 2]).unwrap();
+    let scattered: Vec<Point> = (0..20_000u64)
+        .map(|i| {
+            Point::new(
+                (i * 7919 % 20_011) as f64 / 20_011.0 * 64.0,
+                (i * 104_729 % 19_997) as f64 / 19_997.0 * (16.0 + (i % 3) as f64 * 24.0),
+            )
+        })
+        .collect();
+    for (set, pts) in [
+        ("set0", probe_points::<2>(0)),
+        ("set1", probe_points::<2>(1)),
+        ("scattered", scattered),
+    ] {
+        for base in [
+            PsdConfig::kd_standard(domain, 4, 0.8),
+            PsdConfig::kd_hybrid(domain, 5, 0.6, 3),
+        ] {
+            let (kind, h) = (base.kind, base.height);
+            let sampled = base
+                .clone()
+                .with_median_sampling(SamplingPlan::paper_default());
+            let smooth = base.with_median(MedianSelector::plain(MedianConfig::SmoothSensitivity {
+                delta: 1e-4,
+            }));
+            for (tag, config) in [("sampled-em", sampled), ("smooth", smooth)] {
+                let name = format!("{kind}/{tag}/d2/h{h}/{set}");
+                prints.push(release_print(name, &config, &pts));
+            }
+        }
+    }
+    if std::env::var("PRINT_FINGERPRINTS").is_ok() {
+        for (name, fp) in &prints {
+            println!("(\"{name}\", {fp:#018x}),");
+        }
+        return;
+    }
+    for (name, fp) in prints {
+        let expected = GOLDEN_MEDIAN_BIN
+            .iter()
+            .find(|(n, _)| *n == name)
+            .unwrap_or_else(|| panic!("no golden entry for {name}"))
+            .1;
+        assert_eq!(fp, expected, "{name}: release bytes drifted");
+    }
+}
+
 /// FNV folds of the probe releases' `dpsd-bin` bytes. Every curve entry
 /// and the kd-cell entries at `D <= 2` were captured while `D = 2` still
 /// ran separate planar builders, so they pin that the one generic
@@ -663,4 +815,117 @@ const GOLDEN_BIN: &[(&str, u64)] = &[
     ("hilbert-r/d4/h2/o6/prune/set1", 0x96d86f975c42f700),
     ("zorder-r/d4/h2/o6/set1", 0x1e5105eb863f573c),
     ("zorder-r/d4/h2/o6/prune/set1", 0x7cfd8a6a0df3db70),
+];
+
+/// FNV folds of the median-family probe releases' `dpsd-bin` bytes,
+/// captured while every split stage still collected and sorted its
+/// node's values.
+const GOLDEN_MEDIAN_BIN: &[(&str, u64)] = &[
+    ("kd-standard/d1/h4/set0", 0xd33ddd4288a51bd6),
+    ("kd-hybrid/d1/h4/set0", 0x742241e3f17b0852),
+    ("kd-noisymean/d1/h4/set0", 0xb2e6ad28bce0e6c1),
+    ("kd-true/d1/h4/set0", 0x8873f484ee1117d8),
+    ("kd-pure/d1/h4/set0", 0x90fd440016a1c056),
+    ("kd-standard/d1/h7/set0", 0xa9b3ffe90e3b080f),
+    ("kd-hybrid/d1/h7/set0", 0xc73d192a7f83e2a8),
+    ("kd-noisymean/d1/h7/set0", 0xf226f3835d886871),
+    ("kd-true/d1/h7/set0", 0xa516e63eabd8673d),
+    ("kd-pure/d1/h7/set0", 0x16ffb5a56994be3f),
+    ("kd-standard/d1/h4/set1", 0xb233ce36ef244ce3),
+    ("kd-hybrid/d1/h4/set1", 0x1199e1b209d4d0cf),
+    ("kd-noisymean/d1/h4/set1", 0x557a127112116918),
+    ("kd-true/d1/h4/set1", 0x696cd4ce7c3f2cd6),
+    ("kd-pure/d1/h4/set1", 0x4b51aa10843d048e),
+    ("kd-standard/d1/h7/set1", 0x4b1352cf794fd8d3),
+    ("kd-hybrid/d1/h7/set1", 0x54c4e5f1a058fb42),
+    ("kd-noisymean/d1/h7/set1", 0xa2cb5b0a2e449660),
+    ("kd-true/d1/h7/set1", 0x06410e882a881f50),
+    ("kd-pure/d1/h7/set1", 0x42459d8f67e3ffe5),
+    ("kd-standard/d1/h4/ties", 0xd020871020c9e6a9),
+    ("kd-hybrid/d1/h4/ties", 0x9fed690ff9c5eac8),
+    ("kd-noisymean/d1/h4/ties", 0xf81f1e2a0fc46a3f),
+    ("kd-true/d1/h4/ties", 0x152a50a66c98f4cb),
+    ("kd-pure/d1/h4/ties", 0x21725dbddf923f37),
+    ("kd-standard/d1/h7/ties", 0x1f3239704393f257),
+    ("kd-hybrid/d1/h7/ties", 0x35b70ee7bd2c1365),
+    ("kd-noisymean/d1/h7/ties", 0xe551f76e88839d25),
+    ("kd-true/d1/h7/ties", 0x9ba0a42798420095),
+    ("kd-pure/d1/h7/ties", 0x1f4933db616043e5),
+    ("kd-standard/d3/h2/set0", 0x62fa833586567ee6),
+    ("kd-hybrid/d3/h2/set0", 0x72eb25832aedfac3),
+    ("kd-noisymean/d3/h2/set0", 0xc5c2cda59c1bb1b8),
+    ("kd-true/d3/h2/set0", 0x0bf5c2c0280518fb),
+    ("kd-pure/d3/h2/set0", 0x698a3cc1ec33944a),
+    ("kd-standard/d3/h3/set0", 0x0e33e6a77ca97ac2),
+    ("kd-hybrid/d3/h3/set0", 0x59a6c5521b070e4b),
+    ("kd-noisymean/d3/h3/set0", 0xdf8aadbd83e2d1e6),
+    ("kd-true/d3/h3/set0", 0x678a69143f10a6d0),
+    ("kd-pure/d3/h3/set0", 0x8f8c4cc5a80d851d),
+    ("kd-standard/d3/h2/set1", 0x14eb8de3ab4a2ae0),
+    ("kd-hybrid/d3/h2/set1", 0x464f3fee307c554f),
+    ("kd-noisymean/d3/h2/set1", 0x59c47035f2f97630),
+    ("kd-true/d3/h2/set1", 0xe6b53c07f376c120),
+    ("kd-pure/d3/h2/set1", 0x9bd759b337e3c6e3),
+    ("kd-standard/d3/h3/set1", 0xb9ac00523283885e),
+    ("kd-hybrid/d3/h3/set1", 0x30b7ec4949366453),
+    ("kd-noisymean/d3/h3/set1", 0x4defd41fb6e70456),
+    ("kd-true/d3/h3/set1", 0xd8f78c4f5081d384),
+    ("kd-pure/d3/h3/set1", 0xd5bd9bb251c355f5),
+    ("kd-standard/d3/h2/ties", 0x195ae285b8d8b091),
+    ("kd-hybrid/d3/h2/ties", 0x127824ec475dc60c),
+    ("kd-noisymean/d3/h2/ties", 0x7cd3653685ed73c9),
+    ("kd-true/d3/h2/ties", 0xf6889a0a3fb73cd1),
+    ("kd-pure/d3/h2/ties", 0x259c19523d8a4951),
+    ("kd-standard/d3/h3/ties", 0x329511f524b6d96d),
+    ("kd-hybrid/d3/h3/ties", 0x87637c338cf28895),
+    ("kd-noisymean/d3/h3/ties", 0xca816ea747d4d73a),
+    ("kd-true/d3/h3/ties", 0x34b359e5336ef9c5),
+    ("kd-pure/d3/h3/ties", 0xba637d686b46289e),
+    ("kd-standard/d4/h1/set0", 0xaaeb493b91a7b655),
+    ("kd-hybrid/d4/h1/set0", 0x799d213426795c6e),
+    ("kd-noisymean/d4/h1/set0", 0x13c47530364a68dc),
+    ("kd-true/d4/h1/set0", 0x9b6182b731e7792a),
+    ("kd-pure/d4/h1/set0", 0x18029ad8ce671c33),
+    ("kd-standard/d4/h2/set0", 0x402dca07c628dcf6),
+    ("kd-hybrid/d4/h2/set0", 0x28538262edcd2831),
+    ("kd-noisymean/d4/h2/set0", 0xeed0a5e7e47debe7),
+    ("kd-true/d4/h2/set0", 0x7145e1b891608f62),
+    ("kd-pure/d4/h2/set0", 0xe6b2749e23120fe5),
+    ("kd-standard/d4/h1/set1", 0x54eeb581a30d1fef),
+    ("kd-hybrid/d4/h1/set1", 0xa30e09ba20a64439),
+    ("kd-noisymean/d4/h1/set1", 0x7f0c6a19695bbae6),
+    ("kd-true/d4/h1/set1", 0x08056ffc6f3e34c2),
+    ("kd-pure/d4/h1/set1", 0x234b40b0ee000ce7),
+    ("kd-standard/d4/h2/set1", 0xcfd48b0d67892484),
+    ("kd-hybrid/d4/h2/set1", 0x34230ede769589c4),
+    ("kd-noisymean/d4/h2/set1", 0x93fdff91cb6a823e),
+    ("kd-true/d4/h2/set1", 0xdb27776b23f02a98),
+    ("kd-pure/d4/h2/set1", 0x9432fe9aefb734b0),
+    ("kd-standard/d4/h1/ties", 0x13e7fb35f75432ca),
+    ("kd-hybrid/d4/h1/ties", 0xe5229a7dfd1340ef),
+    ("kd-noisymean/d4/h1/ties", 0x4faa748380d2f5b2),
+    ("kd-true/d4/h1/ties", 0xe2d10f80b39f639a),
+    ("kd-pure/d4/h1/ties", 0x2252d7b28a578474),
+    ("kd-standard/d4/h2/ties", 0x971be50c3ff29db8),
+    ("kd-hybrid/d4/h2/ties", 0xc30cb65779ca0969),
+    ("kd-noisymean/d4/h2/ties", 0x288963064bea014b),
+    ("kd-true/d4/h2/ties", 0x65ed4e3357055e60),
+    ("kd-pure/d4/h2/ties", 0xcc892745904f5a68),
+    ("kd-standard/d2/h4/ties", 0x5ad065d9526b218c),
+    ("kd-hybrid/d2/h5/ties", 0x1afeb526eb7dfc65),
+    ("kd-noisymean/d2/h3/ties", 0x7d80e50c419484ae),
+    ("kd-true/d2/h3/ties", 0xf565fdfce04ec75a),
+    ("kd-pure/d2/h4/ties", 0xfebfbfadd6e72b2e),
+    ("kd-standard/sampled-em/d2/h4/set0", 0x20c447cd25c09d04),
+    ("kd-standard/smooth/d2/h4/set0", 0x920a300229d3a29c),
+    ("kd-hybrid/sampled-em/d2/h5/set0", 0xae58187789d7c1c0),
+    ("kd-hybrid/smooth/d2/h5/set0", 0xbc8eb3eb995f12af),
+    ("kd-standard/sampled-em/d2/h4/set1", 0xc12d284d4b2a7781),
+    ("kd-standard/smooth/d2/h4/set1", 0x9c602be11aa92529),
+    ("kd-hybrid/sampled-em/d2/h5/set1", 0x87f8756cc4476b74),
+    ("kd-hybrid/smooth/d2/h5/set1", 0xf7d453a2d7c7a277),
+    ("kd-standard/sampled-em/d2/h4/scattered", 0x8fea6b251788e1ca),
+    ("kd-standard/smooth/d2/h4/scattered", 0x39fd55a540d108d2),
+    ("kd-hybrid/sampled-em/d2/h5/scattered", 0x8f2c1657660c3580),
+    ("kd-hybrid/smooth/d2/h5/scattered", 0x768b6340ea256fa0),
 ];

@@ -456,6 +456,35 @@ fn stream_points(n: usize) -> Vec<Point> {
         .collect()
 }
 
+/// The stream resolves before the ingest body parses: an unknown stream
+/// is a 404 whatever the body holds, while a known stream still answers
+/// a malformed body with a 400 and absorbs nothing.
+#[test]
+fn ingest_resolves_the_stream_before_parsing_the_body() {
+    let handle = start_server(ServeConfig::default());
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let points = ingest_points_body(&stream_wire_points(3));
+    for body in ["not json", "{}", points.as_str()] {
+        let r = client.post("/synopses/ghost/ingest", body).unwrap();
+        assert_eq!(r.status, 404, "{body:?}: {}", r.body);
+        assert!(r.error_message().unwrap().contains("ghost"));
+    }
+    let r = client
+        .post(
+            "/synopses/live/stream",
+            r#"{"dims":2,"domain":[0,0,64,64],"height":3,"seed":9,"epoch_points":5,
+                "schedule":{"kind":"fixed","epsilon":0.5},"budget_cap":100}"#,
+        )
+        .unwrap();
+    assert_eq!(r.status, 200, "stream create failed: {}", r.body);
+    let r = client.post("/synopses/live/ingest", "not json").unwrap();
+    assert_eq!(r.status, 400, "{}", r.body);
+    let r = client.post("/synopses/live/ingest", &points).unwrap();
+    assert_eq!(r.status, 200, "{}", r.body);
+    let report = r.json().unwrap();
+    assert_eq!(report.get("total_points").and_then(|v| v.as_u64()), Some(3));
+}
+
 /// Regression for the multi-boundary edge: a single `POST .../ingest`
 /// whose batch crosses *three* epoch boundaries must report every
 /// intermediate release (epochs 0, 1, 2 as versions 1, 2, 3) — not

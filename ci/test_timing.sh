@@ -25,8 +25,11 @@ CAP="${DPSD_TEST_TIME_CAP_SECS:-60}"
 # "<package> <suite>" pairs that must each produce a timing row.
 EXPECTED_SUITES=(
   "dpsd bit_identity"
+  "dpsd dim_generic"
   "dpsd end_to_end"
+  "dpsd flat_decode_memory"
   "dpsd flat_golden"
+  "dpsd paper_properties"
   "dpsd parallel"
   "dpsd proptests"
   "dpsd serve_http"
@@ -37,6 +40,9 @@ EXPECTED_SUITES=(
   "dpsd user_bounding"
   "dpsd window_identity"
   "dpsd-analyze fixtures"
+  "dpsd-analyze self_check"
+  "dpsd-hilbert nd_proptests"
+  "dpsd-hilbert proptests"
   "dpsd-serve cache_proptests"
 )
 

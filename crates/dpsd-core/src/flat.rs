@@ -24,7 +24,7 @@
 //! | 8 | 8 | FNV-1a 64 checksum of every byte from offset 16 to the end |
 //! | 16 | 4 | format version (`u32`, currently 1) |
 //! | 20 | 4 | dimension `D` (`u32`) |
-//! | 24 | 4 | tree-kind code (`u32`, see the `kind_code` mapping below) |
+//! | 24 | 4 | tree-kind code (`u32`, from the [`TreeKind`] table) |
 //! | 28 | 4 | flags (`u32`; bit 0 = post-processed) |
 //! | 32 | 8 | fanout (`u64`, must equal `2^D`) |
 //! | 40 | 8 | height (`u64`) |
@@ -40,10 +40,14 @@
 //! | … | ⌈n/8⌉ | released bitmap (bit `v%8` of byte `v/8`) |
 //! | … | ⌈n/8⌉ | pruning-cut bitmap |
 //!
-//! Trailing bytes, nonzero bitmap padding, a level table that disagrees
-//! with the complete-tree shape, or any non-finite/inconsistent header
-//! field are all typed [`DpsdError::Format`] rejections — the decoder
-//! never panics on untrusted input.
+//! The decoder checks the framing (magic, checksum, version, dimension,
+//! kind code, flags, header node count, level table, bitmap padding,
+//! exact length) and hands the columns to the release's checked
+//! constructor, the one the JSON loader also ends in (see
+//! [`crate::tree::released`]). Every rejection is a typed
+//! [`DpsdError::Format`]; the decoder never panics on untrusted input,
+//! and it reserves memory for a column only once the column's bytes
+//! are in hand.
 //!
 //! Like JSON, post-processed counts are **not** on the wire: bit 0 of
 //! the flags only records that OLS was applied, and the loader
@@ -83,8 +87,7 @@
 use crate::error::DpsdError;
 use crate::geometry::Rect;
 use crate::query::QueryProfile;
-use crate::tree::released::MAX_NODES;
-use crate::tree::{complete_tree_nodes_checked, first_index_at_depth, ReleasedSynopsis, TreeKind};
+use crate::tree::{first_index_at_depth, ReleasedSynopsis, TreeKind};
 
 /// The serving arena: the release type itself, under the name serving
 /// code and benchmarks use for it.
@@ -97,35 +100,6 @@ pub const VERSION: u32 = 1;
 /// Header flag bit 0: the source tree was OLS-post-processed (the
 /// loader recomputes the posted counts; they are never on the wire).
 const FLAG_POSTPROCESSED: u32 = 1;
-
-/// Stable on-wire code for each tree family (same order as the JSON
-/// `kind` tags).
-fn kind_code(kind: TreeKind) -> u32 {
-    match kind {
-        TreeKind::Quadtree => 0,
-        TreeKind::KdStandard => 1,
-        TreeKind::KdHybrid => 2,
-        TreeKind::KdCell => 3,
-        TreeKind::KdNoisyMean => 4,
-        TreeKind::KdPure => 5,
-        TreeKind::KdTrue => 6,
-        TreeKind::HilbertR => 7,
-    }
-}
-
-fn kind_from_code(code: u32) -> Option<TreeKind> {
-    Some(match code {
-        0 => TreeKind::Quadtree,
-        1 => TreeKind::KdStandard,
-        2 => TreeKind::KdHybrid,
-        3 => TreeKind::KdCell,
-        4 => TreeKind::KdNoisyMean,
-        5 => TreeKind::KdPure,
-        6 => TreeKind::KdTrue,
-        7 => TreeKind::HilbertR,
-        _ => return None,
-    })
-}
 
 /// FNV-1a 64-bit — the same hash the bit-identity fingerprints use, so
 /// the checksum layer introduces no new primitive.
@@ -224,14 +198,21 @@ impl<'a> Cursor<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
+    /// Takes the column's bytes first, so a header that declares more
+    /// values than the blob holds reserves no memory for them.
     fn f64s(&mut self, count: usize, what: &str) -> Result<Vec<f64>, DpsdError> {
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            out.push(self.f64().map_err(|_| {
-                DpsdError::format(format!("dpsd-bin: truncated inside the {what} column"))
-            })?);
-        }
-        Ok(out)
+        let truncated =
+            || DpsdError::format(format!("dpsd-bin: truncated inside the {what} column"));
+        let len = count.checked_mul(8).ok_or_else(truncated)?;
+        let bytes = self.take(len).map_err(|_| truncated())?;
+        Ok(bytes
+            .chunks_exact(8)
+            .map(|b| {
+                let mut le = [0u8; 8];
+                le.copy_from_slice(b);
+                f64::from_le_bytes(le)
+            })
+            .collect())
     }
 
     fn bitmap(&mut self, n: usize, what: &str) -> Result<Vec<bool>, DpsdError> {
@@ -274,7 +255,7 @@ impl<const D: usize> ReleasedSynopsis<D> {
         put_u32(&mut buf, VERSION);
         // dpsd-allow(no-panic-in-lib): D is a compile-time dimension; every workspace instantiation is 1..=4
         put_u32(&mut buf, u32::try_from(D).expect("dimension fits in u32"));
-        put_u32(&mut buf, kind_code(self.kind));
+        put_u32(&mut buf, self.kind.code());
         let flags = if self.is_postprocessed() {
             FLAG_POSTPROCESSED
         } else {
@@ -303,17 +284,15 @@ impl<const D: usize> ReleasedSynopsis<D> {
         buf
     }
 
-    /// Parses and fully validates a `dpsd-bin/v1` artifact (the
+    /// Parses a `dpsd-bin/v1` artifact (the
     /// [`to_flat_bytes`](ReleasedSynopsis::to_flat_bytes) output) into a
-    /// query-ready synopsis: same checks as the JSON loader (shape,
-    /// finiteness, node cap, budget guard), plus checksum and
-    /// exact-length framing.
-    ///
-    /// The wire columns are already in arena order, so after validation
-    /// they move into place. Post-processed counts are never on the
-    /// wire; for a post-processed artifact OLS is recomputed over the
-    /// loaded count column, so answers match the source tree
-    /// bit-for-bit.
+    /// query-ready synopsis. This decoder checks only the framing —
+    /// magic, checksum, version, dimension, kind code, flags, header
+    /// node count, level table, bitmap padding and exact length — and
+    /// moves the wire columns into place; every rule about the release
+    /// itself is the checked constructor's (see
+    /// [`crate::tree::released`]), which also recomputes OLS for a
+    /// post-processed artifact.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, DpsdError> {
         let mut cur = Cursor { bytes, pos: 0 };
         if cur.take(8)? != MAGIC {
@@ -340,7 +319,7 @@ impl<const D: usize> ReleasedSynopsis<D> {
             )));
         }
         let kind_raw = cur.u32()?;
-        let kind = kind_from_code(kind_raw).ok_or_else(|| {
+        let kind = TreeKind::from_code(kind_raw).ok_or_else(|| {
             DpsdError::format(format!("dpsd-bin: unknown tree kind code {kind_raw}"))
         })?;
         let flags = cur.u32()?;
@@ -349,20 +328,9 @@ impl<const D: usize> ReleasedSynopsis<D> {
                 "dpsd-bin: unknown flag bits {flags:#x}"
             )));
         }
-        let postprocessed = flags & FLAG_POSTPROCESSED != 0;
         let fanout = usize_field(cur.u64()?, "fanout")?;
-        if fanout != 1usize << D {
-            return Err(DpsdError::format(format!(
-                "dpsd-bin: fanout {fanout} must be 2^dims"
-            )));
-        }
         let height = usize_field(cur.u64()?, "height")?;
-        let Some(m) = complete_tree_nodes_checked(fanout, height).filter(|&m| m <= MAX_NODES)
-        else {
-            return Err(DpsdError::format(format!(
-                "dpsd-bin: fanout {fanout} height {height} exceeds the node cap"
-            )));
-        };
+        let m = Self::checked_node_count(fanout, height)?;
         let node_count = usize_field(cur.u64()?, "node count")?;
         if node_count != m {
             return Err(DpsdError::format(format!(
@@ -370,26 +338,14 @@ impl<const D: usize> ReleasedSynopsis<D> {
             )));
         }
         let epsilon = cur.f64()?;
-        if !epsilon.is_finite() || epsilon < 0.0 {
-            return Err(DpsdError::format("dpsd-bin: epsilon must be non-negative"));
-        }
-        let domain_min = cur.f64s(D, "domain")?;
-        let domain_max = cur.f64s(D, "domain")?;
-        let mut dmin = [0.0; D];
-        let mut dmax = [0.0; D];
-        dmin.copy_from_slice(&domain_min);
-        dmax.copy_from_slice(&domain_max);
-        let domain = Rect::from_corners(dmin, dmax)
-            .map_err(|e| DpsdError::format(format!("dpsd-bin: domain: {e}")))?;
+        let mut domain = Rect {
+            min: [0.0; D],
+            max: [0.0; D],
+        };
+        domain.min.copy_from_slice(&cur.f64s(D, "domain")?);
+        domain.max.copy_from_slice(&cur.f64s(D, "domain")?);
         let eps_count = cur.f64s(height + 1, "eps_count")?;
         let eps_median = cur.f64s(height + 1, "eps_median")?;
-        for (name, levels) in [("eps_count", &eps_count), ("eps_median", &eps_median)] {
-            if levels.iter().any(|e| !e.is_finite() || *e < 0.0) {
-                return Err(DpsdError::format(format!(
-                    "dpsd-bin: {name} entries must be non-negative"
-                )));
-            }
-        }
         for depth in 0..=height {
             let offset = cur.u64()?;
             let expected = first_index_at_depth(fanout, depth) as u64;
@@ -406,20 +362,7 @@ impl<const D: usize> ReleasedSynopsis<D> {
         }
         let mins = cur.f64s(D * m, "node minima")?;
         let maxs = cur.f64s(D * m, "node maxima")?;
-        for v in 0..m {
-            let mut min = [0.0; D];
-            let mut max = [0.0; D];
-            for k in 0..D {
-                min[k] = mins[k * m + v];
-                max[k] = maxs[k * m + v];
-            }
-            Rect::from_corners(min, max)
-                .map_err(|e| DpsdError::format(format!("dpsd-bin: node {v}: {e}")))?;
-        }
-        let mut noisy = cur.f64s(m, "noisy count")?;
-        if noisy.iter().any(|c| !c.is_finite()) {
-            return Err(DpsdError::format("dpsd-bin: node counts must be finite"));
-        }
+        let noisy = cur.f64s(m, "noisy count")?;
         let released = cur.bitmap(m, "released")?;
         let cut = cur.bitmap(m, "cut")?;
         if cur.pos != bytes.len() {
@@ -428,21 +371,7 @@ impl<const D: usize> ReleasedSynopsis<D> {
                 bytes.len() - cur.pos
             )));
         }
-        // Same guard as the JSON loader: OLS recomputation requires a
-        // released leaf level, and a crafted artifact must be a typed error.
-        if postprocessed && eps_count[0] <= 0.0 {
-            return Err(DpsdError::format(
-                "dpsd-bin: postprocessed synopsis must carry leaf-level count budget",
-            ));
-        }
-        // Withheld counts read as zero, whatever bytes a crafted artifact
-        // put there: that is what OLS weighs and what a re-encode writes.
-        for (c, &r) in noisy.iter_mut().zip(&released) {
-            if !r {
-                *c = 0.0;
-            }
-        }
-        let synopsis = ReleasedSynopsis {
+        ReleasedSynopsis {
             kind,
             fanout,
             height,
@@ -456,12 +385,8 @@ impl<const D: usize> ReleasedSynopsis<D> {
             released,
             posted: None,
             cut,
-        };
-        Ok(if postprocessed {
-            synopsis.with_ols()
-        } else {
-            synopsis
-        })
+        }
+        .validated(flags & FLAG_POSTPROCESSED != 0)
     }
 }
 

@@ -37,12 +37,14 @@
 //! ```
 //!
 //! ([`StreamIngestor::batch_config`] constructs exactly that config.)
-//! This holds because the batch quadtree path consumes randomness only
-//! when noising counts, the descent predicate here (`>= midpoint` goes
-//! to the upper child, axis 0 most significant) is the same comparison
-//! the batch partitioner uses, and the release pipeline below *is* the
-//! batch pipeline — the same noise pass, the same OLS post-processing,
-//! the same artifact encoder. Epoch ticking is driven purely by
+//! This holds by construction: a release takes that config's budgets
+//! and runs the batch build's own tail — noise pass, tree columns, OLS
+//! — over the counters, which stand in for the structure stage. The
+//! counters equal the batch exact counts because the descent predicate
+//! here (`>= midpoint` goes to the upper child, axis 0 most
+//! significant) is the same comparison the batch partitioner uses, and
+//! the tail starts from the batch generator state because the quadtree
+//! structure draws no randomness. Epoch ticking is driven purely by
 //! absorbed-point counts supplied by the caller: nothing in this module
 //! reads a clock, so replays are exact (and `dpsd-analyze`'s
 //! `no-wallclock-in-core` rule keeps it that way).
@@ -95,14 +97,11 @@
 //! [`release_epoch`](StreamIngestor::release_epoch) debits from the
 //! ledger, so the ledger cap is a *user-level* budget.
 
-use crate::budget::{CountBudget, EpsilonLedger};
+use crate::budget::EpsilonLedger;
 use crate::error::DpsdError;
 use crate::geometry::{Point, Rect};
 use crate::rng::seeded;
-use crate::tree::{
-    apply_count_noise, complete_tree_nodes_checked, BuildError, PsdConfig, PsdTree,
-    ReleasedSynopsis, TreeKind,
-};
+use crate::tree::{complete_tree_nodes_checked, BuildError, PsdConfig, ReleasedSynopsis, TreeKind};
 use std::collections::HashMap;
 
 pub mod sketch;
@@ -543,61 +542,31 @@ impl<const D: usize> StreamIngestor<D> {
     /// bucket that just left the window — by subtraction, never by
     /// re-scan).
     ///
-    /// Debits [`StreamConfig::release_debit`] from the ledger first:
-    /// on [`DpsdError::BudgetExhausted`] nothing changes (the epoch
-    /// does not advance and further absorbs still work). The artifact
+    /// Computes the release's budgets, then debits
+    /// [`StreamConfig::release_debit`] from the ledger before any noise
+    /// is drawn: if either step fails (an overdraw is
+    /// [`DpsdError::BudgetExhausted`]), nothing changes (the epoch does
+    /// not advance and further absorbs still work). The artifact
     /// is byte-identical to building [`Self::batch_config`] over the
     /// covered points — the whole admitted prefix, or the in-window
     /// suffix `admitted[window_start..]` — and releasing it.
     pub fn release_epoch(&mut self) -> Result<EpochRelease<D>, DpsdError> {
         self.check_next_release()?;
-        let eps = self.config.schedule.epoch_epsilon(self.epoch);
+        let batch = self.batch_config(self.epoch);
+        let budgets = batch.budgets()?;
         // Under a user cap the release costs `cap ×` the epoch epsilon
         // (group privacy over a user's in-window points), making the
         // ledger cap a per-user budget.
         let debit = self.config.release_debit(self.epoch);
         self.ledger.debit(debit)?;
-        let seed = epoch_seed(self.config.seed, self.epoch);
-        let fanout = 1usize << D;
-        let h = self.config.height;
-        let m = self.counts.len();
-        // From here down this is the batch pipeline verbatim: geometric
-        // per-level budgets, the level-ordered noise pass, `from_columns`,
-        // then OLS — only the structure phase is skipped, because the
-        // counters already hold what it would recompute.
-        let eps_count = CountBudget::Geometric.levels_for_dims(h, eps, D);
-        let true_counts: Vec<f64> = self.counts.iter().map(|&c| c as f64).collect();
-        let mut noisy = vec![0.0f64; m];
-        let mut released = vec![false; m];
-        let mut rng = seeded(seed);
-        apply_count_noise(
-            fanout,
-            h,
-            &true_counts,
-            &eps_count,
-            &mut noisy,
-            &mut released,
-            &mut rng,
-        );
-        let mut tree = PsdTree::from_columns(
-            TreeKind::Quadtree,
-            fanout,
-            h,
-            self.config.domain,
-            &self.rects,
-            true_counts,
-            noisy,
-            released,
-            eps_count,
-            vec![0.0; h + 1],
-            eps,
-        );
-        let beta = crate::postprocess::ols_postprocess(&tree);
-        tree.set_posted(beta);
+        // The batch build's tail, with the counters standing in for its
+        // structure stage (see the module docs).
+        let true_counts = self.counts.iter().map(|&c| c as f64).collect();
+        let tree = batch.release_counts(budgets, &self.rects, true_counts, &mut seeded(batch.seed));
         let release = EpochRelease {
             epoch: self.epoch,
-            epsilon: eps,
-            seed,
+            epsilon: batch.epsilon,
+            seed: batch.seed,
             points: self.total_points,
             window_start: self.window_start,
             debited: debit,

@@ -36,6 +36,9 @@
 //! 3. **Post-processing / pruning** (optional): Section 5's OLS and
 //!    Section 7's pruning.
 //!
+//! Stages 2 and 3 are the build's tail, which a stream epoch also runs
+//! over its counters (see [`crate::stream`]).
+//!
 //! Every family builds in every dimension. `KdCell` reads its splits
 //! off a `D`-dimensional noisy grid
 //! ([`crate::median::CellGridNd`]), and `HilbertR` linearizes the
@@ -50,14 +53,10 @@ use crate::mech::laplace::laplace_mechanism;
 use crate::mech::sampling::SamplingPlan;
 use crate::median::{MedianConfig, MedianSelector};
 use crate::rng::seeded;
-use crate::tree::{complete_tree_nodes_checked, PsdTree};
+use crate::tree::{complete_tree_nodes_checked, PsdTree, MAX_NODES};
 use dpsd_hilbert::CurveKind;
 use rand::rngs::StdRng;
 use std::fmt;
-
-/// Maximum number of nodes a single tree may allocate (a height-12
-/// fanout-4 tree is ~22M nodes; this guards against runaway configs).
-const MAX_NODES: usize = 120_000_000;
 
 /// Maximum total cell count of a `KdCell` split grid. Per-axis
 /// resolutions multiply across dimensions, so a planar default like
@@ -122,18 +121,57 @@ impl TreeKind {
         )
     }
 
+    /// Every family, in `dpsd-bin` code order.
+    const ALL: [TreeKind; 8] = [
+        TreeKind::Quadtree,
+        TreeKind::KdStandard,
+        TreeKind::KdHybrid,
+        TreeKind::KdCell,
+        TreeKind::KdNoisyMean,
+        TreeKind::KdPure,
+        TreeKind::KdTrue,
+        TreeKind::HilbertR,
+    ];
+
+    /// The kind table: each family's `dpsd-bin` code, its JSON `kind`
+    /// tag and the name the paper's figures use. Codes and tags are
+    /// wire formats, so a row is never renumbered or renamed.
+    fn row(self) -> (u32, &'static str, &'static str) {
+        match self {
+            TreeKind::Quadtree => (0, "quadtree", "quadtree"),
+            TreeKind::KdStandard => (1, "kd-standard", "kd-standard"),
+            TreeKind::KdHybrid => (2, "kd-hybrid", "kd-hybrid"),
+            TreeKind::KdCell => (3, "kd-cell", "kd-cell"),
+            TreeKind::KdNoisyMean => (4, "kd-noisymean", "kd-noisymean"),
+            TreeKind::KdPure => (5, "kd-pure", "kd-pure"),
+            TreeKind::KdTrue => (6, "kd-true", "kd-true"),
+            TreeKind::HilbertR => (7, "hilbert-r", "Hilbert-R"),
+        }
+    }
+
     /// Display name matching the paper's figures.
     pub fn paper_name(&self) -> &'static str {
-        match self {
-            TreeKind::Quadtree => "quadtree",
-            TreeKind::KdStandard => "kd-standard",
-            TreeKind::KdHybrid => "kd-hybrid",
-            TreeKind::KdCell => "kd-cell",
-            TreeKind::KdNoisyMean => "kd-noisymean",
-            TreeKind::KdPure => "kd-pure",
-            TreeKind::KdTrue => "kd-true",
-            TreeKind::HilbertR => "Hilbert-R",
-        }
+        self.row().2
+    }
+
+    /// The family's `dpsd-bin` kind code.
+    pub(crate) fn code(self) -> u32 {
+        self.row().0
+    }
+
+    /// The family's JSON `kind` tag.
+    pub(crate) fn tag(self) -> &'static str {
+        self.row().1
+    }
+
+    /// The family with `dpsd-bin` kind code `code`.
+    pub(crate) fn from_code(code: u32) -> Option<Self> {
+        Self::ALL.into_iter().find(|k| k.code() == code)
+    }
+
+    /// The family with JSON `kind` tag `tag`.
+    pub(crate) fn from_tag(tag: &str) -> Option<Self> {
+        Self::ALL.into_iter().find(|k| k.tag() == tag)
     }
 }
 
@@ -424,25 +462,57 @@ impl<const D: usize> PsdConfig<D> {
 
     /// Builds the decomposition over `points`.
     ///
-    /// Stage order: budgets → structure (+ exact counts) → noisy counts →
-    /// optional OLS → optional pruning. See the module docs. Failures
-    /// are [`DpsdError::Build`] wrapping the detailed [`BuildError`].
+    /// Stage order: budgets → structure (+ exact counts) → the tail
+    /// (noisy counts → optional OLS → optional pruning). See the module
+    /// docs. Failures are [`DpsdError::Build`] wrapping the detailed
+    /// [`BuildError`].
     pub fn build(&self, points: &[Point<D>]) -> Result<PsdTree<D>, DpsdError> {
         self.validate(points)?;
-        let fanout = 1usize << D;
-        let h = self.height;
-        // dpsd-allow(no-panic-in-lib): validate() already rejected any height whose node count overflows
-        let m = complete_tree_nodes_checked(fanout, h).expect("validated node count");
+        let budgets = self.budgets()?;
         let mut rng = seeded(self.seed);
+        // dpsd-allow(no-panic-in-lib): validate() already rejected any height whose node count overflows
+        let m = complete_tree_nodes_checked(1 << D, self.height).expect("validated node count");
+        let mut rects = vec![self.domain; m];
+        let mut true_counts = vec![0.0f64; m];
+        match self.kind {
+            TreeKind::HilbertR => super::hilbert_rtree::build_structure_nd(
+                self,
+                &budgets.median,
+                points,
+                &mut rects,
+                &mut true_counts,
+                &mut rng,
+            )?,
+            TreeKind::KdCell => super::kdcell::build_structure_nd(
+                self,
+                budgets.median_total,
+                points,
+                &mut rects,
+                &mut true_counts,
+                &mut rng,
+            )?,
+            _ => build_axis_split_structure(
+                self,
+                &budgets.median,
+                points,
+                &mut rects,
+                &mut true_counts,
+                &mut rng,
+            )?,
+        }
+        Ok(self.release_counts(budgets, &rects, true_counts, &mut rng))
+    }
 
-        // --- budgets -------------------------------------------------
-        let private = !matches!(self.kind, TreeKind::KdPure);
+    /// The per-level count and median budgets, audited against the
+    /// total epsilon.
+    pub(crate) fn budgets(&self) -> Result<LevelBudgets, DpsdError> {
+        let h = self.height;
         let (eps_count_total, eps_median_total) = match self.kind {
             TreeKind::KdPure => (0.0, 0.0),
             TreeKind::Quadtree | TreeKind::KdTrue => (self.epsilon, 0.0),
             _ => self.split.apply(self.epsilon),
         };
-        let eps_count: Vec<f64> = if eps_count_total > 0.0 {
+        let count: Vec<f64> = if eps_count_total > 0.0 {
             self.count_budget.levels_for_dims(h, eps_count_total, D)
         } else {
             vec![0.0; h + 1]
@@ -455,7 +525,7 @@ impl<const D: usize> PsdConfig<D> {
             // reported through `eps_median_levels` at the root level.
             _ => 0,
         };
-        let eps_median: Vec<f64> = if self.kind == TreeKind::KdCell && eps_median_total > 0.0 {
+        let median: Vec<f64> = if self.kind == TreeKind::KdCell && eps_median_total > 0.0 {
             let mut v = vec![0.0; h + 1];
             v[h] = eps_median_total; // one grid release, composed once per path
             v
@@ -464,88 +534,70 @@ impl<const D: usize> PsdConfig<D> {
         } else {
             vec![0.0; h + 1]
         };
-        if private {
-            let audit = audit_path_epsilon(&eps_count, &eps_median)?;
+        if self.is_private() {
+            let audit = audit_path_epsilon(&count, &median)?;
             debug_assert!(audit.within(self.epsilon), "budget audit failed: {audit:?}");
         }
+        Ok(LevelBudgets {
+            count,
+            median,
+            median_total: eps_median_total,
+        })
+    }
 
-        // --- structure + exact counts ---------------------------------
-        let mut rects = vec![self.domain; m];
-        let mut true_counts = vec![0.0f64; m];
-        match self.kind {
-            TreeKind::HilbertR => {
-                super::hilbert_rtree::build_structure_nd(
-                    self,
-                    &eps_median,
-                    points,
-                    &mut rects,
-                    &mut true_counts,
-                    &mut rng,
-                )?;
-            }
-            TreeKind::KdCell => {
-                super::kdcell::build_structure_nd(
-                    self,
-                    eps_median_total,
-                    points,
-                    &mut rects,
-                    &mut true_counts,
-                    &mut rng,
-                )?;
-            }
-            _ => {
-                build_axis_split_structure(
-                    self,
-                    &eps_median,
-                    points,
-                    &mut rects,
-                    &mut true_counts,
-                    &mut rng,
-                )?;
-            }
-        }
+    /// Whether the family adds noise at all (everything but `kd-pure`).
+    fn is_private(&self) -> bool {
+        self.kind != TreeKind::KdPure
+    }
 
-        // --- noisy counts ---------------------------------------------
+    /// The build's tail over a finished structure: noisy counts, the
+    /// tree columns, then optional OLS and pruning. A stream epoch runs
+    /// exactly this over its counters (see [`crate::stream`]).
+    pub(crate) fn release_counts(
+        &self,
+        budgets: LevelBudgets,
+        rects: &[Rect<D>],
+        true_counts: Vec<f64>,
+        rng: &mut StdRng,
+    ) -> PsdTree<D> {
+        let m = true_counts.len();
         let mut noisy = vec![0.0f64; m];
         let mut released = vec![false; m];
-        if self.kind == TreeKind::KdPure {
-            noisy.copy_from_slice(&true_counts);
-            released.fill(true);
-        } else {
+        if self.is_private() {
             apply_count_noise(
-                fanout,
-                h,
+                1 << D,
+                self.height,
                 &true_counts,
-                &eps_count,
+                &budgets.count,
                 &mut noisy,
                 &mut released,
-                &mut rng,
+                rng,
             );
+        } else {
+            noisy.copy_from_slice(&true_counts);
+            released.fill(true);
         }
-
         let mut tree = PsdTree::from_columns(
             self.kind,
-            fanout,
-            h,
+            1 << D,
+            self.height,
             self.domain,
-            &rects,
+            rects,
             true_counts,
             noisy,
             released,
-            eps_count,
-            eps_median,
-            if private { self.epsilon } else { 0.0 },
+            budgets.count,
+            budgets.median,
+            if self.is_private() { self.epsilon } else { 0.0 },
         );
-
-        // --- post-processing and pruning -------------------------------
-        if self.postprocess && private {
+        if self.postprocess && self.is_private() {
             let beta = crate::postprocess::ols_postprocess(&tree);
             tree.set_posted(beta);
         }
         if let Some(threshold) = self.prune_threshold {
             super::prune::prune_below(&mut tree, threshold);
         }
-        Ok(tree)
+        tree
     }
 
     fn validate(&self, points: &[Point<D>]) -> Result<(), BuildError> {
@@ -599,6 +651,16 @@ impl<const D: usize> PsdConfig<D> {
         }
         Ok(())
     }
+}
+
+/// A build's per-level budgets (index 0 = leaves).
+pub(crate) struct LevelBudgets {
+    /// Count budget of each level.
+    count: Vec<f64>,
+    /// Median budget of each level.
+    median: Vec<f64>,
+    /// The whole median share, which kd-cell spends on its grid.
+    median_total: f64,
 }
 
 /// The `(box, start, len)` pieces a node is cut into: a box and its
@@ -950,7 +1012,7 @@ pub(crate) fn partition_in_place<T, F: Fn(&T) -> bool>(slice: &mut [T], pred: F)
 
 /// Adds Laplace noise to every node of a released level; withholds counts
 /// of zero-budget levels.
-pub(crate) fn apply_count_noise(
+fn apply_count_noise(
     fanout: usize,
     height: usize,
     true_counts: &[f64],
@@ -1413,6 +1475,20 @@ mod tests {
     fn tree_kind_names() {
         assert_eq!(TreeKind::Quadtree.paper_name(), "quadtree");
         assert_eq!(TreeKind::KdHybrid.to_string(), "kd-hybrid");
+        assert_eq!(TreeKind::HilbertR.to_string(), "Hilbert-R");
+        // The kind table lists codes 0.. in order, and every code and
+        // tag maps back to its own family.
+        for (code, kind) in (0u32..).zip(TreeKind::ALL) {
+            assert_eq!(kind.code(), code, "{kind}");
+            assert_eq!(TreeKind::from_code(code), Some(kind));
+            assert_eq!(TreeKind::from_tag(kind.tag()), Some(kind));
+        }
+        assert_eq!(TreeKind::from_code(8), None);
+        assert_eq!(
+            TreeKind::from_tag("Hilbert-R"),
+            None,
+            "tags are not paper names"
+        );
         assert!(TreeKind::KdStandard.is_data_dependent());
         assert!(!TreeKind::Quadtree.is_data_dependent());
         assert!(!TreeKind::KdPure.is_data_dependent());

@@ -36,7 +36,6 @@ mod kdcell;
 pub mod prune;
 pub mod released;
 
-pub(crate) use build::apply_count_noise;
 pub use build::{BuildError, PsdConfig, TreeKind};
 pub use dpsd_hilbert::CurveKind;
 pub use released::ReleasedSynopsis;
@@ -79,6 +78,11 @@ impl<const D: usize> std::ops::Deref for PsdTree<D> {
         &self.synopsis
     }
 }
+
+/// Most nodes one tree may hold, built or loaded (a height-12 fanout-4
+/// tree is ~22M nodes; this guards against runaway configs and
+/// artifacts).
+pub(crate) const MAX_NODES: usize = 120_000_000;
 
 /// Number of nodes in a complete tree of the given fanout and height.
 ///

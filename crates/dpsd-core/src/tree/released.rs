@@ -29,6 +29,17 @@
 //!   Section 5), so the loaders recompute it bit-for-bit; a malformed
 //!   file cannot smuggle in inconsistent "post-processed" values.
 //!
+//! Both loaders end in one checked constructor. Each decodes only its
+//! own wire format — the JSON fields, or the `dpsd-bin` framing — into
+//! columns, and the constructor then owns every rule about the release
+//! itself: fanout `2^D` within the node cap, a finite non-negative
+//! epsilon, `h + 1` finite non-negative entries in both level vectors,
+//! a valid domain, complete-tree column lengths, a valid box per node,
+//! finite counts, withheld counts read as `0.0`, and, for a
+//! post-processed release, a released leaf level before OLS is
+//! recomputed. A corrupt artifact therefore fails with the same
+//! [`DpsdError::Format`] reason in either format.
+//!
 //! ```
 //! use dpsd_core::geometry::{Point, Rect};
 //! use dpsd_core::synopsis::SpatialSynopsis;
@@ -56,7 +67,7 @@
 use crate::error::DpsdError;
 use crate::geometry::Rect;
 use crate::postprocess::ols_over_columns;
-use crate::tree::{complete_tree_nodes_checked, first_index_at_depth, TreeKind};
+use crate::tree::{complete_tree_nodes_checked, first_index_at_depth, TreeKind, MAX_NODES};
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 
 /// Format tag written into every serialized synopsis.
@@ -64,20 +75,13 @@ pub const FORMAT: &str = "dpsd-synopsis";
 /// Current wire version.
 pub const VERSION: u64 = 1;
 
-/// Cap on the node count a loader will materialize (matches the
-/// builders' own cap; the binary loader in [`crate::flat`] enforces the
-/// same limit).
-pub(crate) const MAX_NODES: usize = 120_000_000;
-
 /// A published, raw-data-free spatial synopsis: the complete tree as
 /// `dpsd-bin` columns (see the module docs).
 ///
-/// Every constructor — [`PsdTree::release`], the JSON and binary
-/// loaders — establishes the column invariants (complete-tree length,
-/// valid boxes, finite counts, `0.0` where withheld), so queries are
-/// infallible.
-///
-/// [`PsdTree::release`]: crate::tree::PsdTree::release
+/// Every constructor establishes the column invariants (complete-tree
+/// length, valid boxes, finite counts, `0.0` where withheld), so queries
+/// are infallible: the builders by construction, and both loaders by
+/// ending in one checked constructor (see the module docs).
 #[derive(Debug, Clone)]
 pub struct ReleasedSynopsis<const D: usize = 2> {
     pub(crate) kind: TreeKind,
@@ -110,10 +114,99 @@ impl<const D: usize> ReleasedSynopsis<D> {
         synopsis.clone()
     }
 
-    /// Installs the OLS column recomputed from the released counts
-    /// (loaders call this when the artifact says its source was
-    /// post-processed).
-    pub(crate) fn with_ols(mut self) -> Self {
+    /// The node count of a complete tree with `fanout` and `height`,
+    /// if a release of dimension `D` may have it: `fanout` must be
+    /// `2^D` and the tree must fit the node cap. Loaders call this
+    /// before they allocate anything sized by the header.
+    pub(crate) fn checked_node_count(fanout: usize, height: usize) -> Result<usize, DpsdError> {
+        if fanout != 1 << D {
+            return Err(DpsdError::format(format!(
+                "fanout {fanout} must be 2^dims = {}",
+                1usize << D
+            )));
+        }
+        complete_tree_nodes_checked(fanout, height)
+            .filter(|&m| m <= MAX_NODES)
+            .ok_or_else(|| {
+                DpsdError::format(format!(
+                    "fanout {fanout} height {height} exceeds the node cap"
+                ))
+            })
+    }
+
+    /// The one checked constructor of a decoded release: checks every
+    /// invariant a loader cannot trust its input to keep, reads withheld
+    /// counts as `0.0`, and recomputes OLS when the source was
+    /// `postprocessed`. Both wire formats end here, so each rule is
+    /// written and run once per load.
+    pub(crate) fn validated(mut self, postprocessed: bool) -> Result<Self, DpsdError> {
+        let m = Self::checked_node_count(self.fanout, self.height)?;
+        if !(self.epsilon.is_finite() && self.epsilon >= 0.0) {
+            return Err(DpsdError::format(format!(
+                "epsilon {} is not a finite, non-negative f64",
+                self.epsilon
+            )));
+        }
+        for (name, levels) in [
+            ("eps_count", &self.eps_count),
+            ("eps_median", &self.eps_median),
+        ] {
+            if levels.len() != self.height + 1 {
+                return Err(DpsdError::format(format!(
+                    "`{name}` must have height+1 = {} entries, got {}",
+                    self.height + 1,
+                    levels.len()
+                )));
+            }
+            if let Some(e) = levels.iter().find(|e| !(e.is_finite() && **e >= 0.0)) {
+                return Err(DpsdError::format(format!(
+                    "`{name}` entry {e} is not a finite, non-negative f64"
+                )));
+            }
+        }
+        Rect::from_corners(self.domain.min, self.domain.max)
+            .map_err(|e| DpsdError::format(format!("domain: {e}")))?;
+        let node_columns = [self.noisy.len(), self.released.len(), self.cut.len()];
+        if self.mins.len() != D * m
+            || self.maxs.len() != D * m
+            || node_columns.iter().any(|&len| len != m)
+        {
+            return Err(DpsdError::format(format!(
+                "node columns must cover the complete tree ({m} nodes)"
+            )));
+        }
+        for v in 0..m {
+            let Rect { min, max } = self.rect(v);
+            Rect::from_corners(min, max)
+                .map_err(|e| DpsdError::format(format!("node {v}: {e}")))?;
+        }
+        if let Some(v) = self.noisy.iter().position(|c| !c.is_finite()) {
+            return Err(DpsdError::format(format!(
+                "node {v} count {} is not a finite f64",
+                self.noisy[v]
+            )));
+        }
+        // Withheld counts read as zero, whatever a crafted artifact put
+        // there: that is what OLS weighs and what a re-encode writes.
+        for (c, &r) in self.noisy.iter_mut().zip(&self.released) {
+            if !r {
+                *c = 0.0;
+            }
+        }
+        if !postprocessed {
+            return Ok(self);
+        }
+        // OLS weighs the leaf level, so it needs released leaf counts.
+        if self.eps_count[0] <= 0.0 {
+            return Err(DpsdError::format(
+                "postprocessed synopsis must carry leaf-level count budget",
+            ));
+        }
+        Ok(self.with_ols())
+    }
+
+    /// Installs the OLS column recomputed from the released counts.
+    fn with_ols(mut self) -> Self {
         self.posted = Some(ols_over_columns(
             self.fanout,
             self.height,
@@ -276,10 +369,10 @@ impl<const D: usize> ReleasedSynopsis<D> {
         serde_json::to_string_pretty(self).expect("synopsis values are always finite")
     }
 
-    /// Parses and fully validates a published synopsis. Post-processing
-    /// is recomputed from the released counts whenever the artifact says
-    /// its source was post-processed, so query answers match the source
-    /// tree exactly.
+    /// Parses and fully validates a published synopsis (see the module
+    /// docs). Post-processing is recomputed from the released counts
+    /// whenever the artifact says its source was post-processed, so
+    /// query answers match the source tree exactly.
     pub fn from_json(text: &str) -> Result<Self, DpsdError> {
         serde_json::from_str(text).map_err(DpsdError::from)
     }
@@ -296,34 +389,6 @@ impl<const D: usize> ReleasedSynopsis<D> {
     pub fn from_json_str(text: &str) -> Result<Self, DpsdError> {
         Self::from_json(text)
     }
-}
-
-/// Stable JSON `kind` tag of each tree family.
-pub(crate) fn kind_tag(kind: TreeKind) -> &'static str {
-    match kind {
-        TreeKind::Quadtree => "quadtree",
-        TreeKind::KdStandard => "kd-standard",
-        TreeKind::KdHybrid => "kd-hybrid",
-        TreeKind::KdCell => "kd-cell",
-        TreeKind::KdNoisyMean => "kd-noisymean",
-        TreeKind::KdPure => "kd-pure",
-        TreeKind::KdTrue => "kd-true",
-        TreeKind::HilbertR => "hilbert-r",
-    }
-}
-
-pub(crate) fn kind_from_tag(tag: &str) -> Option<TreeKind> {
-    Some(match tag {
-        "quadtree" => TreeKind::Quadtree,
-        "kd-standard" => TreeKind::KdStandard,
-        "kd-hybrid" => TreeKind::KdHybrid,
-        "kd-cell" => TreeKind::KdCell,
-        "kd-noisymean" => TreeKind::KdNoisyMean,
-        "kd-pure" => TreeKind::KdPure,
-        "kd-true" => TreeKind::KdTrue,
-        "hilbert-r" => TreeKind::HilbertR,
-        _ => return None,
-    })
 }
 
 /// Flattens a box into the wire layout: all minima, then all maxima.
@@ -349,7 +414,7 @@ impl<const D: usize> Serialize for ReleasedSynopsis<D> {
         Value::Object(vec![
             ("format".to_string(), FORMAT.serialize()),
             ("version".to_string(), VERSION.serialize()),
-            ("kind".to_string(), kind_tag(self.kind).serialize()),
+            ("kind".to_string(), self.kind.tag().serialize()),
             ("fanout".to_string(), self.fanout.serialize()),
             ("dims".to_string(), D.serialize()),
             ("height".to_string(), self.height.serialize()),
@@ -372,7 +437,9 @@ fn field<'v>(value: &'v Value, name: &str) -> Result<&'v Value, SerdeError> {
         .ok_or_else(|| SerdeError::msg(format!("missing field `{name}`")))
 }
 
-fn rect_from<const D: usize>(value: &Value, what: &str) -> Result<Rect<D>, SerdeError> {
+/// Reads a box as its wire corners (all minima, then all maxima),
+/// leaving their validity to `ReleasedSynopsis::validated`.
+fn corners<const D: usize>(value: &Value, what: &str) -> Result<Rect<D>, SerdeError> {
     let coords = Vec::<f64>::deserialize(value)
         .map_err(|_| SerdeError::msg(format!("{what} must be an array of numbers")))?;
     if coords.len() != 2 * D {
@@ -382,32 +449,31 @@ fn rect_from<const D: usize>(value: &Value, what: &str) -> Result<Rect<D>, Serde
             coords.len()
         )));
     }
-    let mut min = [0.0; D];
-    let mut max = [0.0; D];
-    min.copy_from_slice(&coords[..D]);
-    max.copy_from_slice(&coords[D..]);
-    Rect::from_corners(min, max).map_err(|e| SerdeError::msg(format!("{what}: {e}")))
+    let mut r = Rect {
+        min: [0.0; D],
+        max: [0.0; D],
+    };
+    r.min.copy_from_slice(&coords[..D]);
+    r.max.copy_from_slice(&coords[D..]);
+    Ok(r)
 }
 
-fn levels_from(value: &Value, name: &str, height: usize) -> Result<Vec<f64>, SerdeError> {
-    let levels = Vec::<f64>::deserialize(value)
-        .map_err(|_| SerdeError::msg(format!("`{name}` must be an array of numbers")))?;
-    if levels.len() != height + 1 {
-        return Err(SerdeError::msg(format!(
-            "`{name}` must have height+1 = {} entries, got {}",
-            height + 1,
-            levels.len()
-        )));
+fn numbers(value: &Value, name: &str) -> Result<Vec<f64>, SerdeError> {
+    Vec::<f64>::deserialize(value)
+        .map_err(|_| SerdeError::msg(format!("`{name}` must be an array of numbers")))
+}
+
+fn to_serde(e: DpsdError) -> SerdeError {
+    match e {
+        DpsdError::Format { reason } => SerdeError::msg(reason),
+        other => SerdeError::msg(other.to_string()),
     }
-    if levels.iter().any(|e| !e.is_finite() || *e < 0.0) {
-        return Err(SerdeError::msg(format!(
-            "`{name}` entries must be non-negative"
-        )));
-    }
-    Ok(levels)
 }
 
 impl<const D: usize> Deserialize for ReleasedSynopsis<D> {
+    /// Parses the JSON fields into columns and ends in the checked
+    /// constructor, which owns every validity rule (see the module
+    /// docs).
     fn deserialize(value: &Value) -> Result<Self, SerdeError> {
         let format = String::deserialize(field(value, "format")?)?;
         if format != FORMAT {
@@ -420,12 +486,9 @@ impl<const D: usize> Deserialize for ReleasedSynopsis<D> {
             return Err(SerdeError::msg(format!("unsupported version {version}")));
         }
         let kind_s = String::deserialize(field(value, "kind")?)?;
-        let kind = kind_from_tag(&kind_s)
+        let kind = TreeKind::from_tag(&kind_s)
             .ok_or_else(|| SerdeError::msg(format!("unknown tree kind `{kind_s}`")))?;
         let fanout = usize::deserialize(field(value, "fanout")?)?;
-        if fanout < 2 {
-            return Err(SerdeError::msg("fanout must be at least 2"));
-        }
         // `dims` is optional for backward compatibility: artifacts
         // serialized before the dimension-generic format are planar.
         let dims = match value.get("dims") {
@@ -437,30 +500,19 @@ impl<const D: usize> Deserialize for ReleasedSynopsis<D> {
                 "artifact is {dims}-dimensional, expected {D}"
             )));
         }
-        if fanout != 1usize << dims {
-            return Err(SerdeError::msg("fanout must be 2^dims"));
-        }
         let height = usize::deserialize(field(value, "height")?)?;
-        let Some(m) = complete_tree_nodes_checked(fanout, height).filter(|&m| m <= MAX_NODES)
-        else {
-            return Err(SerdeError::msg(format!(
-                "fanout {fanout} height {height} exceeds the node cap"
-            )));
-        };
-        let domain = rect_from(field(value, "domain")?, "domain")?;
+        let m = Self::checked_node_count(fanout, height).map_err(to_serde)?;
+        let domain = corners(field(value, "domain")?, "domain")?;
         let epsilon = f64::deserialize(field(value, "epsilon")?)?;
-        if !epsilon.is_finite() || epsilon < 0.0 {
-            return Err(SerdeError::msg("epsilon must be non-negative"));
-        }
-        let eps_count = levels_from(field(value, "eps_count")?, "eps_count", height)?;
-        let eps_median = levels_from(field(value, "eps_median")?, "eps_median", height)?;
+        let eps_count = numbers(field(value, "eps_count")?, "eps_count")?;
+        let eps_median = numbers(field(value, "eps_median")?, "eps_median")?;
         let postprocessed = bool::deserialize(field(value, "postprocessed")?)?;
         let node_values = field(value, "nodes")?
             .as_array()
             .ok_or_else(|| SerdeError::msg("`nodes` must be an array"))?;
         if node_values.len() != m {
             return Err(SerdeError::msg(format!(
-                "`nodes` must list the complete tree ({m} nodes), got {}",
+                "node count {} does not match the complete tree ({m} nodes)",
                 node_values.len()
             )));
         }
@@ -470,33 +522,20 @@ impl<const D: usize> Deserialize for ReleasedSynopsis<D> {
         let mut released = vec![false; m];
         let mut cut = vec![false; m];
         for (v, node) in node_values.iter().enumerate() {
-            let r = rect_from::<D>(field(node, "rect")?, "node rect")?;
+            let r = corners::<D>(field(node, "rect")?, "node rect")?;
             for k in 0..D {
                 mins[k * m + v] = r.min[k];
                 maxs[k * m + v] = r.max[k];
             }
-            match Option::<f64>::deserialize(field(node, "count")?)? {
-                Some(c) if c.is_finite() => {
-                    noisy[v] = c;
-                    released[v] = true;
-                }
-                Some(_) => return Err(SerdeError::msg("node count must be finite")),
-                None => {}
+            if let Some(c) = Option::<f64>::deserialize(field(node, "count")?)? {
+                noisy[v] = c;
+                released[v] = true;
             }
             if let Some(flag) = node.get("cut") {
                 cut[v] = bool::deserialize(flag)?;
             }
         }
-        // OLS recomputation requires released leaf counts specifically
-        // (same guard as the binary loader) — a crafted artifact with
-        // `postprocessed: true` but a zero leaf budget must be a typed
-        // error, not a downstream panic.
-        if postprocessed && eps_count[0] <= 0.0 {
-            return Err(SerdeError::msg(
-                "postprocessed synopsis must carry leaf-level count budget",
-            ));
-        }
-        let synopsis = ReleasedSynopsis {
+        ReleasedSynopsis {
             kind,
             fanout,
             height,
@@ -510,12 +549,9 @@ impl<const D: usize> Deserialize for ReleasedSynopsis<D> {
             released,
             posted: None,
             cut,
-        };
-        Ok(if postprocessed {
-            synopsis.with_ols()
-        } else {
-            synopsis
-        })
+        }
+        .validated(postprocessed)
+        .map_err(to_serde)
     }
 }
 

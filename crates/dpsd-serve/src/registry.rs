@@ -184,7 +184,10 @@ pub struct TenantBudget {
 /// so a failed debit can reject a publish without minting a version,
 /// and two concurrent publishes can never read the same prior version:
 /// mint and swap happen under one write lock against state that
-/// survives the publish.
+/// survives the publish. Every change is staged on a copy (see
+/// [`TenantEntry::staged`]) and written back only once all its steps
+/// passed, so a refusal leaves no trace.
+#[derive(Clone)]
 struct TenantEntry {
     published: Option<Arc<PublishedSynopsis>>,
     next_version: u64,
@@ -202,6 +205,11 @@ impl Default for TenantEntry {
 }
 
 impl TenantEntry {
+    /// A copy of `name`'s entry, or a fresh one for a new tenant.
+    fn staged(entries: &HashMap<String, TenantEntry>, name: &str) -> TenantEntry {
+        entries.get(name).cloned().unwrap_or_default()
+    }
+
     fn budget(&self) -> TenantBudget {
         let capped = self.ledger.is_capped();
         TenantBudget {
@@ -325,8 +333,10 @@ impl SynopsisRegistry {
     }
 
     /// The shared swap path: cap install, debit, version mint, and
-    /// hot-swap under one write lock, in that order. Any failure leaves
-    /// the tenant's published artifact and version counter untouched.
+    /// hot-swap under one write lock, in that order, staged on a copy
+    /// of the entry. Any failure leaves the tenant untouched — cap,
+    /// spend, published artifact and version counter — and a tenant
+    /// refused on its first request is not created.
     fn install(
         &self,
         name: &str,
@@ -335,7 +345,7 @@ impl SynopsisRegistry {
         debit: Option<f64>,
     ) -> Result<(Arc<PublishedSynopsis>, TenantBudget), ServeError> {
         let mut entries = write_or_recover(&self.entries);
-        let entry = entries.entry(name.to_string()).or_default();
+        let mut entry = TenantEntry::staged(&entries, name);
         if let Some(cap) = cap {
             entry.set_cap(name, cap)?;
         }
@@ -349,7 +359,9 @@ impl SynopsisRegistry {
         });
         entry.next_version += 1;
         entry.published = Some(Arc::clone(&published));
-        Ok((published, entry.budget()))
+        let budget = entry.budget();
+        entries.insert(name.to_string(), entry);
+        Ok((published, budget))
     }
 
     /// Debits `eps` from `name`'s ledger without publishing — the
@@ -361,9 +373,11 @@ impl SynopsisRegistry {
     pub fn debit(&self, name: &str, eps: f64) -> Result<TenantBudget, ServeError> {
         validate_name(name)?;
         let mut entries = write_or_recover(&self.entries);
-        let entry = entries.entry(name.to_string()).or_default();
+        let mut entry = TenantEntry::staged(&entries, name);
         entry.ledger.debit(eps)?;
-        Ok(entry.budget())
+        let budget = entry.budget();
+        entries.insert(name.to_string(), entry);
+        Ok(budget)
     }
 
     /// Installs a budget cap for `name` (creating the tenant if it has
@@ -373,9 +387,11 @@ impl SynopsisRegistry {
     pub fn set_cap(&self, name: &str, cap: f64) -> Result<TenantBudget, ServeError> {
         validate_name(name)?;
         let mut entries = write_or_recover(&self.entries);
-        let entry = entries.entry(name.to_string()).or_default();
+        let mut entry = TenantEntry::staged(&entries, name);
         entry.set_cap(name, cap)?;
-        Ok(entry.budget())
+        let budget = entry.budget();
+        entries.insert(name.to_string(), entry);
+        Ok(budget)
     }
 
     /// The tenant's budget, if the name has ever been published,
@@ -601,6 +617,31 @@ mod tests {
         assert!(registry.get("t").is_none());
         assert!(registry.is_empty());
         assert_eq!(registry.budget("t").unwrap().cap, Some(1.5));
+    }
+
+    #[test]
+    fn refusals_leave_no_tenant_behind() {
+        let registry = SynopsisRegistry::new();
+        let json = sample_json::<2>(); // epsilon 1.0
+        assert!(matches!(
+            registry.publish_capped("t", json.as_bytes(), Some(0.5)),
+            Err(ServeError::BudgetExhausted(_))
+        ));
+        assert!(matches!(
+            registry.set_cap("u", -1.0),
+            Err(ServeError::BadRequest(_))
+        ));
+        assert!(registry.debit("v", f64::NAN).is_err());
+        for name in ["t", "u", "v"] {
+            assert!(registry.budget(name).is_none(), "`{name}` left behind");
+        }
+        // So the refused cap was never installed: a larger one holds.
+        let (published, budget) = registry
+            .publish_capped("t", json.as_bytes(), Some(3.0))
+            .unwrap();
+        assert_eq!(published.version, 1);
+        assert_eq!(budget.cap, Some(3.0));
+        assert_eq!(budget.spent.to_bits(), 1.0f64.to_bits());
     }
 
     #[test]

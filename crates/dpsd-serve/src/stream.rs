@@ -263,8 +263,8 @@ fn absorb_wire<const D: usize>(
 pub struct StreamState {
     ingestor: AnyIngestor,
     epoch_points: u64,
-    /// Registry version of every released epoch, in epoch order.
-    versions: Vec<u64>,
+    /// Registry version of the latest released epoch.
+    latest_version: Option<u64>,
 }
 
 /// Epoch releases triggered by one ingest request.
@@ -340,7 +340,7 @@ impl StreamManager {
             Arc::new(Mutex::new(StreamState {
                 ingestor,
                 epoch_points: spec.epoch_points,
-                versions: Vec::new(),
+                latest_version: None,
             })),
         );
         Ok(())
@@ -395,12 +395,12 @@ impl StreamManager {
         let StreamState {
             ingestor,
             epoch_points,
-            versions,
+            latest_version,
         } = &mut *state;
         let mut run = IngestRun {
             name,
             epoch_points: *epoch_points,
-            versions,
+            latest_version,
             registry,
             cache,
             releases: Vec::new(),
@@ -454,7 +454,7 @@ impl StreamManager {
 struct IngestRun<'a> {
     name: &'a str,
     epoch_points: u64,
-    versions: &'a mut Vec<u64>,
+    latest_version: &'a mut Option<u64>,
     registry: &'a SynopsisRegistry,
     cache: &'a ShardedCache,
     releases: Vec<ReleasedEpoch>,
@@ -540,7 +540,7 @@ impl IngestRun<'_> {
             .registry
             .publish_predebited(self.name, &release.synopsis.to_flat_bytes())?;
         self.cache.purge_stale(self.name, published.version);
-        self.versions.push(published.version);
+        *self.latest_version = Some(published.version);
         self.releases.push(ReleasedEpoch {
             epoch: release.epoch,
             version: published.version,
@@ -604,9 +604,8 @@ fn ingestor_info<const D: usize>(
         (
             "latest_version".to_string(),
             state
-                .versions
-                .last()
-                .map_or(Value::Null, |&v| Value::Number(v as f64)),
+                .latest_version
+                .map_or(Value::Null, |v| Value::Number(v as f64)),
         ),
         (
             "window".to_string(),

@@ -17,7 +17,9 @@
 //! The second half is the decoder's corruption matrix: every header
 //! field tampered, every prefix truncation, checksum flips, trailing
 //! bytes — all must come back as typed [`DpsdError::Format`] values,
-//! never a panic.
+//! never a panic. Last, one table applies each semantic corruption to
+//! the same release in both wire formats, and both loaders must name
+//! the same reason.
 
 use dpsd::prelude::*;
 
@@ -383,4 +385,132 @@ fn tamper_rehash(mut blob: Vec<u8>) -> Vec<u8> {
     }
     blob[8..16].copy_from_slice(&h.to_le_bytes());
     blob
+}
+
+/// Rewrites the value of the `nth` (0-based) `"key":` field in a JSON
+/// artifact: `edit` gets the old value's text and returns the new one.
+fn edit_json(json: &str, key: &str, nth: usize, edit: impl Fn(&str) -> String) -> String {
+    let pattern = format!("\"{key}\":");
+    let (at, _) = json
+        .match_indices(&pattern)
+        .nth(nth)
+        .unwrap_or_else(|| panic!("no field `{key}` #{nth}"));
+    let start = at + pattern.len();
+    let rest = &json[start..];
+    let len = if rest.starts_with('[') {
+        rest.find(']').unwrap() + 1
+    } else {
+        rest.find([',', '}']).unwrap()
+    };
+    format!("{}{}{}", &json[..start], edit(&rest[..len]), &rest[len..])
+}
+
+/// Replaces element `i` of a JSON number array's text.
+fn set_element(array: &str, i: usize, value: &str) -> String {
+    let mut items: Vec<&str> = array[1..array.len() - 1].split(',').collect();
+    items[i] = value;
+    format!("[{}]", items.join(","))
+}
+
+/// The same semantic corruptions, applied to one release in both wire
+/// formats, must come back from both loaders as a `Format` error that
+/// names the same thing: every rule about the release lives in the one
+/// constructor both loaders end in.
+#[test]
+fn both_formats_reject_each_corruption_alike() {
+    let good = unhex(pinned("quadtree-2d"));
+    let json = ReleasedSynopsis::<2>::from_bytes(&good).unwrap().to_json();
+    assert!(ReleasedSynopsis::<2>::from_json(&json).is_ok());
+
+    // Byte offsets of the `D = 2`, `h = 1` (5-node) pin's fields.
+    let (n, d) = (5, 2);
+    let eps_count = 64 + 16 * d;
+    let eps_median = eps_count + 16;
+    let mins = eps_median + 16 + 8 * 3;
+    let noisy = mins + 2 * 8 * d * n;
+    let tamper = |offset: usize, value: &[u8]| {
+        let mut bad = good.clone();
+        bad[offset..offset + value.len()].copy_from_slice(value);
+        tamper_rehash(bad)
+    };
+    let f64le = |x: f64| x.to_le_bytes();
+
+    // JSON numbers cannot spell a non-finite value, so the text parser
+    // rejects `1e999` first; its reason and the constructor's both say
+    // the value is no finite f64.
+    let cases: Vec<(&str, String, Vec<u8>, &str)> = vec![
+        (
+            "fanout not 2^dims",
+            edit_json(&json, "fanout", 0, |_| "3".into()),
+            tamper(32, &3u64.to_le_bytes()),
+            "fanout 3 must be 2^dims",
+        ),
+        (
+            "height past the node cap",
+            edit_json(&json, "height", 0, |_| "4000000".into()),
+            tamper(40, &4_000_000u64.to_le_bytes()),
+            "height 4000000 exceeds the node cap",
+        ),
+        (
+            "node count off the complete tree",
+            edit_json(&json, "height", 0, |_| "2".into()),
+            tamper(48, &4u64.to_le_bytes()),
+            "does not match the complete tree",
+        ),
+        (
+            "negative epsilon",
+            edit_json(&json, "epsilon", 0, |_| "-1.0".into()),
+            tamper(56, &f64le(-1.0)),
+            "epsilon -1 is not a finite, non-negative f64",
+        ),
+        (
+            "non-finite epsilon",
+            edit_json(&json, "epsilon", 0, |_| "1e999".into()),
+            tamper(56, &f64le(f64::INFINITY)),
+            "f64",
+        ),
+        (
+            "negative level budget",
+            edit_json(&json, "eps_count", 0, |a| set_element(a, 1, "-1.0")),
+            tamper(eps_count + 8, &f64le(-1.0)),
+            "`eps_count` entry -1 is not a finite, non-negative f64",
+        ),
+        (
+            "inverted node box",
+            edit_json(&json, "rect", 1, |r| set_element(r, 0, "5.0")),
+            tamper(mins + 8, &f64le(5.0)),
+            "node 1: invalid box [5.0, 0.0] x [4.0, 4.0]",
+        ),
+        (
+            "non-finite count",
+            edit_json(&json, "count", 2, |_| "1e999".into()),
+            tamper(noisy + 16, &f64le(f64::INFINITY)),
+            "f64",
+        ),
+        (
+            "post-processed with a zero leaf budget",
+            edit_json(&json, "eps_count", 0, |a| set_element(a, 0, "0.0")),
+            tamper(eps_count, &f64le(0.0)),
+            "leaf-level count budget",
+        ),
+    ];
+    for (label, text, blob, needle) in cases {
+        assert_ne!(text, json, "{label}: the JSON edit changed nothing");
+        let loads = [
+            ("json", ReleasedSynopsis::<2>::from_json(&text).map(|_| ())),
+            (
+                "dpsd-bin",
+                ReleasedSynopsis::<2>::from_bytes(&blob).map(|_| ()),
+            ),
+        ];
+        for (format, loaded) in loads {
+            match loaded {
+                Err(DpsdError::Format { reason }) => assert!(
+                    reason.contains(needle),
+                    "{label} ({format}): `{reason}` does not name `{needle}`"
+                ),
+                other => panic!("{label} ({format}): expected a Format error, got {other:?}"),
+            }
+        }
+    }
 }

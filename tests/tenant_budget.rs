@@ -16,7 +16,8 @@
 //!   `epsilon_spent` keeps counting only its releases;
 //! * refused-publish invariance — a budget-exhausted publish changes
 //!   nothing observable: version, budget, cached answers, and the cache
-//!   occupancy are exactly as before.
+//!   occupancy are exactly as before, and a refused first publish with
+//!   `?budget_cap=` leaves no cap behind.
 
 use dpsd::prelude::*;
 use dpsd::serve::client::Client;
@@ -145,6 +146,36 @@ fn caps_are_immutable_over_the_wire() {
     // The rejected cap change also minted nothing.
     let info = client.get("/synopses/immut").unwrap().json().unwrap();
     assert_eq!(version_of(&info), 2);
+}
+
+#[test]
+fn a_refused_capped_publish_installs_no_cap() {
+    let handle = start_server();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let body = artifact(2.0, 5);
+
+    // A cap below the artifact's epsilon refuses the publish, and the
+    // refusal must not keep the cap: nothing was published or spent.
+    let refused = client.post("/synopses/t?budget_cap=1.0", &body).unwrap();
+    assert_eq!(refused.status, 409, "{}", refused.body);
+    assert_eq!(
+        refused.body,
+        "{\"error\":\"privacy budget exhausted: release needs epsilon 2 \
+         but only 1 remains under the cap\"}"
+    );
+    assert_eq!(client.get("/synopses/t").unwrap().status, 404);
+
+    // So a corrected first request is still the first: its cap holds.
+    let accepted = client.post("/synopses/t?budget_cap=3.0", &body).unwrap();
+    assert_eq!(accepted.status, 200, "{}", accepted.body);
+    assert!(
+        accepted
+            .body
+            .contains("\"budget\":{\"cap\":3.0,\"spent\":2.0,\"remaining\":1.0}"),
+        "{}",
+        accepted.body
+    );
+    assert_eq!(version_of(&accepted.json().unwrap()), 1);
 }
 
 #[test]

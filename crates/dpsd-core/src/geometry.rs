@@ -42,12 +42,6 @@ impl<const D: usize> Point<D> {
     pub fn from_coords(coords: [f64; D]) -> Self {
         Point { coords }
     }
-
-    /// The coordinate along `axis` (`0 = x, 1 = y, …`).
-    #[inline]
-    pub fn coord(&self, axis: usize) -> f64 {
-        self.coords[axis]
-    }
 }
 
 impl Point<2> {
@@ -169,30 +163,6 @@ impl Rect<2> {
     pub fn height(&self) -> f64 {
         self.side(1)
     }
-
-    /// The four equal quadrants (quadtree split), ordered SW, SE, NW, NE.
-    pub fn quadrants(&self) -> [Rect<2>; 4] {
-        let mx = self.min[0] + self.side(0) / 2.0;
-        let my = self.min[1] + self.side(1) / 2.0;
-        [
-            Rect {
-                min: self.min,
-                max: [mx, my],
-            },
-            Rect {
-                min: [mx, self.min[1]],
-                max: [self.max[0], my],
-            },
-            Rect {
-                min: [self.min[0], my],
-                max: [mx, self.max[1]],
-            },
-            Rect {
-                min: [mx, my],
-                max: self.max,
-            },
-        ]
-    }
 }
 
 impl<const D: usize> Rect<D> {
@@ -227,12 +197,6 @@ impl<const D: usize> Rect<D> {
         v
     }
 
-    /// Synonym of [`Rect::area`] with the dimension-neutral name.
-    #[inline]
-    pub fn volume(&self) -> f64 {
-        self.area()
-    }
-
     /// The extent `[lo, hi]` along `axis`.
     #[inline]
     pub fn extent(&self, axis: usize) -> (f64, f64) {
@@ -249,19 +213,6 @@ impl<const D: usize> Rect<D> {
     #[inline]
     pub fn contains(&self, p: Point<D>) -> bool {
         (0..D).all(|k| p.coords[k] >= self.min[k] && p.coords[k] <= self.max[k])
-    }
-
-    /// Half-open containment used when *partitioning* points into cells:
-    /// lower edges inclusive, upper edges exclusive, except that edges
-    /// coinciding with `domain`'s upper boundary are inclusive so no point
-    /// of the domain is orphaned.
-    #[inline]
-    pub fn contains_for_partition(&self, p: Point<D>, domain: &Rect<D>) -> bool {
-        (0..D).all(|k| {
-            let hi_ok = p.coords[k] < self.max[k]
-                || (self.max[k] >= domain.max[k] && p.coords[k] <= self.max[k]);
-            p.coords[k] >= self.min[k] && hi_ok
-        })
     }
 
     /// Whether `self` is entirely inside `other` (closed edges).
@@ -320,29 +271,12 @@ impl<const D: usize> Rect<D> {
         (lo, hi)
     }
 
-    /// The `2^D` equal orthants; child `j` takes the upper half of axis
-    /// `k` exactly when bit `D - 1 - k` of `j` is set (axis 0 is the
-    /// most significant bit — the same child ordering the tree builders
-    /// use, so `parent.orthant(j)` is the cell of child `j` in a
-    /// midpoint tree).
-    pub fn orthant(&self, j: usize) -> Rect<D> {
-        debug_assert!(j < (1 << D));
-        let mut min = self.min;
-        let mut max = self.max;
-        for k in 0..D {
-            let mid = self.min[k] + self.side(k) / 2.0;
-            if j >> (D - 1 - k) & 1 == 1 {
-                min[k] = mid;
-            } else {
-                max[k] = mid;
-            }
-        }
-        Rect { min, max }
-    }
-
-    /// Index of the orthant a point belongs to under half-open
-    /// partitioning (upper boundaries stay in the upper child), using
-    /// the same bit order as [`Rect::orthant`].
+    /// Index of the midpoint orthant a point belongs to under half-open
+    /// partitioning (`coord >= midpoint` goes to the upper half). Child
+    /// `j` takes the upper half of axis `k` exactly when bit `D - 1 - k`
+    /// of `j` is set: axis 0 is the most significant bit, the child
+    /// order of the tree builders, so in a midpoint tree `orthant_of`
+    /// names the child whose box holds `p`.
     pub fn orthant_of(&self, p: &Point<D>) -> usize {
         let mut j = 0usize;
         for k in 0..D {
@@ -419,17 +353,18 @@ mod tests {
 
     #[test]
     fn partition_containment_is_half_open() {
+        // Closed boxes share their cut edge; partitioning sends a point
+        // on the cut to the upper side.
         let domain = r(0.0, 0.0, 4.0, 4.0);
         let (left, right) = domain.split_at(0, 2.0);
         let p = Point::new(2.0, 1.0);
-        assert!(
-            !left.contains_for_partition(p, &domain),
-            "boundary goes right"
-        );
-        assert!(right.contains_for_partition(p, &domain));
-        // Domain's upper edge is closed so the extreme point is kept.
-        let top = Point::new(4.0, 4.0);
-        assert!(right.contains_for_partition(top, &domain));
+        assert!(left.contains(p) && right.contains(p));
+        assert_eq!(domain.orthant_of(&p), 0b10, "boundary goes right");
+        assert_eq!(domain.orthant_of(&Point::new(1.0, 2.0)), 0b01);
+        assert_eq!(domain.orthant_of(&Point::new(2.0, 2.0)), 0b11);
+        // The domain's upper corner is kept, in the all-high orthant.
+        assert_eq!(domain.orthant_of(&Point::new(4.0, 4.0)), 0b11);
+        assert_eq!(domain.orthant_of(&Point::new(0.0, 0.0)), 0b00);
     }
 
     #[test]
@@ -471,20 +406,6 @@ mod tests {
     }
 
     #[test]
-    fn quadrants_partition_area() {
-        let rect = r(-1.0, -2.0, 3.0, 6.0);
-        let qs = rect.quadrants();
-        let total: f64 = qs.iter().map(Rect::area).sum();
-        assert!((total - rect.area()).abs() < 1e-9);
-        for q in &qs {
-            assert!(q.inside(&rect));
-        }
-        // Quadrants meet at the midpoint.
-        assert_eq!(qs[0].max_x(), 1.0);
-        assert_eq!(qs[0].max_y(), 2.0);
-    }
-
-    #[test]
     fn bounding_box() {
         assert!(Rect::<2>::bounding(&[]).is_none());
         let pts = [
@@ -499,12 +420,10 @@ mod tests {
     #[test]
     fn coordinate_access() {
         let p = Point::new(3.0, 4.0);
-        assert_eq!(p.coord(0), 3.0);
-        assert_eq!(p.coord(1), 4.0);
         assert_eq!(p[0], 3.0);
         assert_eq!((p.x(), p.y()), (3.0, 4.0));
         let q: Point<3> = [1.0, 2.0, 3.0].into();
-        assert_eq!(q.coord(2), 3.0);
+        assert_eq!(q[2], 3.0);
         assert_eq!(Point::<3>::default().coords, [0.0; 3]);
     }
 
@@ -518,7 +437,7 @@ mod tests {
     fn three_d_boxes() {
         let a = Rect::from_corners([0.0; 3], [4.0; 3]).unwrap();
         let b = Rect::from_corners([2.0; 3], [6.0; 3]).unwrap();
-        assert_eq!(a.volume(), 64.0);
+        assert_eq!(a.area(), 64.0);
         assert!(a.intersects(&b));
         let cap = a.intersection(&b).unwrap();
         assert_eq!(cap.min, [2.0; 3]);
@@ -533,32 +452,11 @@ mod tests {
     }
 
     #[test]
-    fn orthants_partition_volume() {
+    fn orthant_of_puts_axis_zero_in_the_high_bit() {
         let r = Rect::from_corners([0.0, -2.0, 1.0], [4.0, 2.0, 5.0]).unwrap();
-        let total: f64 = (0..8).map(|j| r.orthant(j).volume()).sum();
-        assert!((total - r.volume()).abs() < 1e-9);
-        // Orthant indexing is consistent with point assignment.
-        let p = Point::from_coords([3.0, -1.0, 4.5]);
-        let j = r.orthant_of(&p);
-        assert!(r.orthant(j).contains(p));
-        // Bit semantics: axis 0 upper half => most significant bit set.
         assert_eq!(r.orthant_of(&Point::from_coords([3.9, -1.9, 1.1])), 0b100);
         assert_eq!(r.orthant_of(&Point::from_coords([0.1, 1.9, 1.1])), 0b010);
         assert_eq!(r.orthant_of(&Point::from_coords([0.1, -1.9, 4.9])), 0b001);
-    }
-
-    #[test]
-    fn orthants_match_quadrants_in_the_plane() {
-        // The generic orthant ordering coincides with the planar
-        // quadrant helper and with the tree builders' child order.
-        let rect = r(0.0, 0.0, 8.0, 4.0);
-        let quads = rect.quadrants();
-        // quadrants() is SW, SE, NW, NE; orthant j uses axis 0 as the
-        // high bit: j = 0 SW, 1 NW, 2 SE, 3 NE.
-        assert_eq!(rect.orthant(0), quads[0]);
-        assert_eq!(rect.orthant(1), quads[2]);
-        assert_eq!(rect.orthant(2), quads[1]);
-        assert_eq!(rect.orthant(3), quads[3]);
     }
 
     #[test]

@@ -157,16 +157,6 @@ pub fn range_query_profiled<const D: usize>(
     }
 }
 
-/// Exact number of data points inside `query`, counted from the tree's
-/// retained exact leaf counts. Correct whenever the query is aligned
-/// with leaf boundaries; for general queries this is still subject to
-/// the partition's half-open convention and serves as the ground truth
-/// for aligned workloads (experiments compute ground truth from the raw
-/// points instead).
-pub fn exact_query<const D: usize>(tree: &PsdTree<D>, query: &Rect<D>) -> f64 {
-    range_query_with(tree, query, CountSource::True)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,13 +191,13 @@ mod tests {
             .build(&pts)
             .unwrap();
         // Whole domain.
-        assert_eq!(exact_query(&tree, &domain), 1024.0);
+        assert_eq!(range_query_with(&tree, &domain, CountSource::True), 1024.0);
         // Quadrant aligned to depth-1 cells.
         let q = Rect::new(0.0, 0.0, 32.0, 32.0).unwrap();
-        assert_eq!(exact_query(&tree, &q), 256.0);
+        assert_eq!(range_query_with(&tree, &q, CountSource::True), 256.0);
         // Cell aligned to leaf boundaries (depth 3: 8x8 cells).
         let q = Rect::new(8.0, 16.0, 16.0, 24.0).unwrap();
-        assert_eq!(exact_query(&tree, &q), 16.0);
+        assert_eq!(range_query_with(&tree, &q, CountSource::True), 16.0);
     }
 
     #[test]
@@ -217,7 +207,7 @@ mod tests {
         let tree = PsdConfig::quadtree(domain, 2, 1.0).build(&pts).unwrap();
         let q = Rect::new(100.0, 100.0, 120.0, 110.0).unwrap();
         assert_eq!(range_query(&tree, &q), 0.0);
-        assert_eq!(exact_query(&tree, &q), 0.0);
+        assert_eq!(range_query_with(&tree, &q, CountSource::True), 0.0);
     }
 
     #[test]

@@ -40,14 +40,17 @@
 //! This holds by construction: a release takes that config's budgets
 //! and runs the batch build's own tail — noise pass, tree columns, OLS
 //! — over the counters, which stand in for the structure stage. The
-//! counters equal the batch exact counts because the descent predicate
-//! here (`>= midpoint` goes to the upper child, axis 0 most
-//! significant) is the same comparison the batch partitioner uses, and
-//! the tail starts from the batch generator state because the quadtree
-//! structure draws no randomness. Epoch ticking is driven purely by
-//! absorbed-point counts supplied by the caller: nothing in this module
-//! reads a clock, so replays are exact (and `dpsd-analyze`'s
-//! `no-wallclock-in-core` rule keeps it that way).
+//! node boxes are the batch boxes because [`StreamIngestor::new`] cuts
+//! them with the batch builder's own point-partition recursion, run over
+//! no points. The counters equal the batch exact counts because the
+//! descent predicate here ([`Rect::orthant_of`]: `>= midpoint` goes to
+//! the upper child, axis 0 most significant) is the same comparison the
+//! batch partitioner uses, and the tail starts from the batch generator
+//! state because the quadtree structure draws no randomness. Epoch
+//! ticking is driven purely by absorbed-point counts supplied by the
+//! caller: nothing in this module reads a clock, so replays are exact
+//! (and `dpsd-analyze`'s `no-wallclock-in-core` rule keeps it that
+//! way).
 //!
 //! # Privacy accounting
 //!
@@ -101,7 +104,10 @@ use crate::budget::EpsilonLedger;
 use crate::error::DpsdError;
 use crate::geometry::{Point, Rect};
 use crate::rng::seeded;
-use crate::tree::{complete_tree_nodes_checked, BuildError, PsdConfig, ReleasedSynopsis, TreeKind};
+use crate::tree::{
+    complete_tree_nodes_checked, split_points, BuildError, LevelBudgets, PsdConfig,
+    ReleasedSynopsis, TreeKind,
+};
 use std::collections::HashMap;
 
 pub mod sketch;
@@ -412,19 +418,20 @@ impl<const D: usize> StreamIngestor<D> {
             }
         }
         let ledger = EpsilonLedger::new(config.budget_cap)?;
-        // Midpoint geometry is fixed up front: children of `v` are the
-        // orthants of its box, in the same axis-0-most-significant
-        // order the batch structure builder uses.
+        // Midpoint geometry is fixed up front: the batch builder's own
+        // recursion, run over no points, cuts the same boxes.
         let mut rects = vec![config.domain; m];
-        for v in 0..m {
-            let first_child = fanout * v + 1;
-            if first_child >= m {
-                break;
-            }
-            for j in 0..fanout {
-                rects[first_child + j] = rects[v].orthant(j);
-            }
-        }
+        split_points(
+            config.height,
+            0,
+            0,
+            config.domain,
+            &mut [],
+            &mut rects,
+            &mut vec![0.0; m],
+            &mut Vec::new(),
+            &mut |axis, r| r.midpoint(axis),
+        );
         let sketch = CountMinSketch::new(SKETCH_WIDTH, SKETCH_DEPTH, config.seed);
         let buckets = match config.window {
             Some(w) => vec![
@@ -551,9 +558,7 @@ impl<const D: usize> StreamIngestor<D> {
     /// covered points — the whole admitted prefix, or the in-window
     /// suffix `admitted[window_start..]` — and releasing it.
     pub fn release_epoch(&mut self) -> Result<EpochRelease<D>, DpsdError> {
-        self.check_next_release()?;
-        let batch = self.batch_config(self.epoch);
-        let budgets = batch.budgets()?;
+        let (batch, budgets) = self.next_budgets()?;
         // Under a user cap the release costs `cap ×` the epoch epsilon
         // (group privacy over a user's in-window points), making the
         // ledger cap a per-user budget.
@@ -585,13 +590,19 @@ impl<const D: usize> StreamIngestor<D> {
     /// check here first and know the internal debit cannot fail after
     /// the external one succeeded.
     pub fn check_next_release(&self) -> Result<(), DpsdError> {
-        let eps = self.config.schedule.epoch_epsilon(self.epoch);
-        if !(eps > 0.0 && eps.is_finite()) {
-            // Deep geometric epochs can underflow to zero; surface the
-            // batch builder's error for the same condition.
-            return Err(BuildError::InvalidEpsilon(eps).into());
-        }
+        self.next_budgets()?;
         self.ledger.check(self.config.release_debit(self.epoch))
+    }
+
+    /// The next release's batch config and budgets, refused with the
+    /// batch builder's [`BuildError::InvalidEpsilon`] when its epsilon
+    /// cannot be noised.
+    fn next_budgets(&self) -> Result<(PsdConfig<D>, LevelBudgets), DpsdError> {
+        // Deep geometric epochs shrink toward zero; the batch builder's
+        // own check refuses them before either ledger is touched.
+        let batch = self.batch_config(self.epoch);
+        let budgets = batch.budgets()?;
+        Ok((batch, budgets))
     }
 
     /// Ages the bucket that just left the window (if any) out of the
@@ -767,6 +778,7 @@ fn grid_key<const D: usize>(domain: &Rect<D>, p: &Point<D>) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tree::PsdTree;
 
     fn unit_domain() -> Rect {
         Rect::new(0.0, 0.0, 64.0, 64.0).unwrap()
@@ -846,6 +858,25 @@ mod tests {
         // The stream keeps absorbing fine.
         ingestor.absorb(Point::new(1.0, 1.0)).unwrap();
         assert_eq!(ingestor.total_points(), 51);
+    }
+
+    #[test]
+    fn unnoisable_epoch_is_refused_before_the_debit() {
+        let config = StreamConfig::new(unit_domain(), 3, fixed(1e-310), 1.0, 1);
+        let mut ingestor = StreamIngestor::new(config).unwrap();
+        ingestor.absorb_all(&stream_points(20)).unwrap();
+        for _ in 0..3 {
+            assert!(matches!(
+                ingestor.check_next_release(),
+                Err(DpsdError::Build(BuildError::InvalidEpsilon(_)))
+            ));
+            assert!(matches!(
+                ingestor.release_epoch(),
+                Err(DpsdError::Build(BuildError::InvalidEpsilon(_)))
+            ));
+        }
+        assert_eq!(ingestor.ledger().spent(), 0.0);
+        assert_eq!(ingestor.epoch(), 0);
     }
 
     #[test]
@@ -935,6 +966,86 @@ mod tests {
                 "node {v} counter diverged"
             );
         }
+    }
+
+    /// A lattice over `[0, 8]^D` with a point on every cut of a
+    /// `height`-high midpoint tree, one between each pair of cuts, and
+    /// one on the domain's upper corner.
+    fn cut_lattice<const D: usize>(height: usize) -> Vec<Point<D>> {
+        let side = (2usize << height) + 1;
+        let step = 8.0 / (side - 1) as f64;
+        (0..side.pow(D as u32))
+            .map(|i| {
+                Point::from_coords(std::array::from_fn(|k| {
+                    (i / side.pow(k as u32) % side) as f64 * step
+                }))
+            })
+            .collect()
+    }
+
+    /// Checks that every child of `tree` counts exactly its parent's
+    /// points on its side of each of its cuts, a point on a cut going to
+    /// the high side, and that the root counts every point. Returns how
+    /// many times a point sat on a cut.
+    fn ties_go_high<const D: usize>(tree: &PsdTree<D>, pts: &[Point<D>]) -> usize {
+        assert_eq!(tree.true_count(0), pts.len() as f64, "root");
+        let mut members = vec![Vec::new(); tree.node_count()];
+        members[0] = pts.to_vec();
+        let mut ties = 0;
+        for v in tree.node_ids() {
+            for (j, c) in tree.children(v).enumerate() {
+                let r = tree.rect(c);
+                let side: Vec<Point<D>> = members[v]
+                    .iter()
+                    .copied()
+                    .filter(|p| {
+                        (0..D).all(|k| {
+                            if j >> (D - 1 - k) & 1 == 1 {
+                                ties += usize::from(p.coords[k] == r.min[k]);
+                                p.coords[k] >= r.min[k]
+                            } else {
+                                p.coords[k] < r.max[k]
+                            }
+                        })
+                    })
+                    .collect();
+                assert_eq!(tree.true_count(c), side.len() as f64, "node {c}");
+                members[c] = side;
+            }
+        }
+        ties
+    }
+
+    #[test]
+    fn cut_points_go_high_in_batch_and_stream() {
+        fn check<const D: usize>(height: usize) {
+            let domain = Rect::from_corners([0.0; D], [8.0; D]).unwrap();
+            let pts = cut_lattice::<D>(height);
+            let res = 1 << height;
+            let kd_cell = PsdConfig::kd_cell(domain, height, 50.0, (res, res))
+                .with_seed(3)
+                .build(&pts)
+                .unwrap();
+            assert!(ties_go_high(&kd_cell, &pts) > 0, "kd-cell D = {D}");
+            let config = StreamConfig::new(domain, height, fixed(1.0), 10.0, 5);
+            let quadtree = batch_config_for(&config, 0).build(&pts).unwrap();
+            assert!(ties_go_high(&quadtree, &pts) > 0, "quadtree D = {D}");
+            // The stream's boxes are the batch boxes, and `orthant_of`
+            // sends every tie the same way the batch partition does.
+            let mut ingestor = StreamIngestor::new(config).unwrap();
+            ingestor.absorb_all(&pts).unwrap();
+            for v in quadtree.node_ids() {
+                assert_eq!(ingestor.rects[v], quadtree.rect(v), "box {v}");
+                assert_eq!(
+                    ingestor.counts[v] as f64,
+                    quadtree.true_count(v),
+                    "node {v}"
+                );
+            }
+        }
+        check::<1>(4);
+        check::<2>(3);
+        check::<3>(2);
     }
 
     #[test]

@@ -27,12 +27,20 @@
 //!    peak while the columns are sorted). Every node owns the same range
 //!    of every column, so a split stage hands the median mechanism a
 //!    sorted slice without copying or sorting it, and splitting stably
-//!    partitions the other columns. Midpoint levels partition a point
-//!    buffer in place and never sort. Hilbert-R sorts its curve indices
+//!    partitions the other columns. Hilbert-R sorts its curve indices
 //!    once the same way.
+//!
+//!    Every other level runs one point-partition recursion
+//!    ([`split_points`]), which never sorts: it cuts each piece at the
+//!    value a rule names and partitions a point buffer in place. Midpoint
+//!    levels (the quadtree, and a hybrid below its switch) pass the
+//!    midpoint, kd-cell passes its grid rule, and the stream cuts its
+//!    boxes by running it over no points.
 //! 2. **Counts**: each node's exact count is perturbed with
 //!    `Lap(1 / eps_count[level])`; levels with zero budget withhold
-//!    their counts entirely (Section 4.2's "conserve the budget").
+//!    their counts entirely (Section 4.2's "conserve the budget"). A
+//!    level budget whose square is not a normal `f64` is refused up
+//!    front (see [`BuildError::InvalidEpsilon`]).
 //! 3. **Post-processing / pruning** (optional): Section 5's OLS and
 //!    Section 7's pruning.
 //!
@@ -193,7 +201,10 @@ pub enum BuildError {
         /// Upper corner of the rejected domain.
         max: Vec<f64>,
     },
-    /// `epsilon <= 0` for a private family.
+    /// A private family's epsilon, or a level budget drawn from it,
+    /// cannot be noised and weighed in `f64`: it is not positive, or
+    /// its square (the level's OLS weight; `1 / ε` is its Laplace
+    /// scale) is not a normal `f64`. Carries the offending value.
     InvalidEpsilon(f64),
     /// The height would allocate more than the node cap.
     TooManyNodes { height: usize, nodes: usize },
@@ -223,7 +234,10 @@ impl fmt::Display for BuildError {
             BuildError::DegenerateDomain { min, max } => {
                 write!(f, "domain has zero volume: {min:?} x {max:?}")
             }
-            BuildError::InvalidEpsilon(e) => write!(f, "epsilon must be positive, got {e}"),
+            BuildError::InvalidEpsilon(e) => write!(
+                f,
+                "epsilon must be positive with a normal f64 square, got {e}"
+            ),
             BuildError::TooManyNodes { height, nodes } => {
                 write!(f, "height {height} needs {nodes} nodes (cap {MAX_NODES})")
             }
@@ -505,7 +519,14 @@ impl<const D: usize> PsdConfig<D> {
 
     /// The per-level count and median budgets, audited against the
     /// total epsilon.
+    ///
+    /// Refuses, as [`BuildError::InvalidEpsilon`], any budget that is
+    /// not [`noisable`]: the total first, so no level can underflow to a
+    /// silent zero, then every non-zero level.
     pub(crate) fn budgets(&self) -> Result<LevelBudgets, DpsdError> {
+        if self.is_private() && !noisable(self.epsilon) {
+            return Err(BuildError::InvalidEpsilon(self.epsilon).into());
+        }
         let h = self.height;
         let (eps_count_total, eps_median_total) = match self.kind {
             TreeKind::KdPure => (0.0, 0.0),
@@ -534,6 +555,13 @@ impl<const D: usize> PsdConfig<D> {
         } else {
             vec![0.0; h + 1]
         };
+        if let Some(&e) = count
+            .iter()
+            .chain(&median)
+            .find(|&&e| e != 0.0 && !noisable(e))
+        {
+            return Err(BuildError::InvalidEpsilon(e).into());
+        }
         if self.is_private() {
             let audit = audit_path_epsilon(&count, &median)?;
             debug_assert!(audit.within(self.epsilon), "budget audit failed: {audit:?}");
@@ -613,9 +641,6 @@ impl<const D: usize> PsdConfig<D> {
                 max: self.domain.max.to_vec(),
             });
         }
-        if self.kind != TreeKind::KdPure && !(self.epsilon > 0.0 && self.epsilon.is_finite()) {
-            return Err(BuildError::InvalidEpsilon(self.epsilon));
-        }
         match complete_tree_nodes_checked(1 << D, self.height) {
             Some(nodes) if nodes <= MAX_NODES => {}
             got => {
@@ -653,6 +678,13 @@ impl<const D: usize> PsdConfig<D> {
     }
 }
 
+/// Whether `f64` can noise and weigh a privacy budget `eps`: its
+/// Laplace scale `1 / eps` must be finite and its OLS weight `eps²`
+/// finite and non-zero, and a normal `eps²` bounds both.
+pub(crate) fn noisable(eps: f64) -> bool {
+    eps > 0.0 && (eps * eps).is_normal()
+}
+
 /// A build's per-level budgets (index 0 = leaves).
 pub(crate) struct LevelBudgets {
     /// Count budget of each level.
@@ -672,11 +704,12 @@ type Piece<const D: usize> = (Rect<D>, usize, usize);
 ///
 /// A flattened node splits its box along every axis in sequence — axis 0
 /// first, then axis 1 on each half, and so on — producing `2^D` children
-/// whose index uses axis 0 as the most significant bit (the same
-/// ordering as [`Rect::orthant`]). At `D = 2` this reproduces the planar
-/// pipeline exactly: one x-split, two y-splits, children ordered
-/// `ll, lh, rl, rh`, the level's median budget halved between the two
-/// stages, and the identical RNG consumption order.
+/// whose index uses axis 0 as the most significant bit (the order
+/// [`Rect::orthant_of`] names, which the stream's descent relies on). At
+/// `D = 2` this reproduces the planar pipeline exactly: one x-split, two
+/// y-splits, children ordered `ll, lh, rl, rh`, the level's median budget
+/// halved between the two stages, and the identical RNG consumption
+/// order.
 ///
 /// Median levels run over [`SortedColumns`], which sort each axis once
 /// for the whole build, so a split stage hands the selector its piece's
@@ -684,9 +717,10 @@ type Piece<const D: usize> = (Rect<D>, usize, usize);
 /// sequence a per-node sort would give, because a `total_cmp` sort is
 /// fixed by the multiset of values, and it is called in the same
 /// depth-first order. Midpoint levels (the whole quadtree, and a hybrid
-/// below `switch_levels`) partition a point buffer in place and never
-/// presort: a quadtree copies the points once, and a hybrid gathers
-/// each switch-level subtree's points into one reused buffer.
+/// below `switch_levels`) run [`split_points`] with the midpoint rule,
+/// the recursion kd-cell's grid splits also use: a quadtree copies the
+/// points once, and a hybrid gathers each switch-level subtree's points
+/// into one reused buffer.
 fn build_axis_split_structure<const D: usize>(
     config: &PsdConfig<D>,
     eps_median: &[f64],
@@ -705,7 +739,7 @@ fn build_axis_split_structure<const D: usize>(
     let mut pool = Vec::new();
     if median_depths == 0 {
         let mut buf = points.to_vec();
-        split_midpoints(
+        split_points(
             config.height,
             0,
             0,
@@ -714,6 +748,7 @@ fn build_axis_split_structure<const D: usize>(
             rects,
             true_counts,
             &mut pool,
+            &mut |axis, r| r.midpoint(axis),
         );
         return Ok(());
     }
@@ -762,11 +797,15 @@ fn split_node<const D: usize>(
     pieces
 }
 
-/// Midpoint levels from node `v` down: each split stage partitions the
-/// node's point slice in place (depth-first; depth <= 12, so stack use
-/// is trivial).
+/// The one point-partition recursion, from node `v` down: each node's
+/// box is cut along every axis in turn, each piece at `split(axis,
+/// piece)`, and each cut partitions the piece's point slice in place
+/// (`coord < cut` goes low, so a point on a cut lands on its high side).
+/// Midpoint levels pass the midpoint, kd-cell its grid rule, and the
+/// stream runs it over no points to cut its boxes. Depth-first; depth
+/// <= 12, so stack use is trivial.
 #[allow(clippy::too_many_arguments)]
-fn split_midpoints<const D: usize>(
+pub(crate) fn split_points<const D: usize>(
     height: usize,
     v: usize,
     depth: usize,
@@ -775,6 +814,7 @@ fn split_midpoints<const D: usize>(
     rects: &mut [Rect<D>],
     true_counts: &mut [f64],
     pool: &mut Vec<Vec<Piece<D>>>,
+    split: &mut impl FnMut(usize, &Rect<D>) -> f64,
 ) {
     rects[v] = rect;
     true_counts[v] = pts.len() as f64;
@@ -782,14 +822,14 @@ fn split_midpoints<const D: usize>(
         return;
     }
     let mut children = split_node(rect, 0, pts.len(), pool, |axis, (r, start, len)| {
-        let (r_lo, r_hi) = r.split_at(axis, r.midpoint(axis));
+        let (r_lo, r_hi) = r.split_at(axis, split(axis, &r));
         let boundary = r_lo.max[axis];
         let mid = partition_in_place(&mut pts[start..start + len], |p| p.coords[axis] < boundary);
         (r_lo, r_hi, mid)
     });
     let first_child = (1usize << D) * v + 1;
     for (j, &(child_rect, start, len)) in children.iter().enumerate() {
-        split_midpoints(
+        split_points(
             height,
             first_child + j,
             depth + 1,
@@ -798,6 +838,7 @@ fn split_midpoints<const D: usize>(
             rects,
             true_counts,
             pool,
+            split,
         );
     }
     children.clear();
@@ -834,7 +875,7 @@ impl<const D: usize> MedianSplits<'_, D> {
             self.buf.clear();
             self.buf
                 .extend(ids.iter().map(|&id| self.points[id as usize]));
-            split_midpoints(
+            split_points(
                 self.config.height,
                 v,
                 depth,
@@ -843,6 +884,7 @@ impl<const D: usize> MedianSplits<'_, D> {
                 self.rects,
                 self.true_counts,
                 &mut self.pool,
+                &mut |axis, r| r.midpoint(axis),
             );
             return;
         }
@@ -996,7 +1038,7 @@ impl<const D: usize> SortedColumns<D> {
 
 /// Hoare-style in-place partition: elements satisfying `pred` move to the
 /// front; returns the boundary index.
-pub(crate) fn partition_in_place<T, F: Fn(&T) -> bool>(slice: &mut [T], pred: F) -> usize {
+fn partition_in_place<T, F: Fn(&T) -> bool>(slice: &mut [T], pred: F) -> usize {
     let mut lo = 0usize;
     let mut hi = slice.len();
     while lo < hi {
@@ -1040,6 +1082,7 @@ fn apply_count_noise(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::synopsis::SpatialSynopsis;
     use crate::tree::CountSource;
 
     fn grid_points(n_side: usize, domain: &Rect) -> Vec<Point> {
@@ -1176,19 +1219,28 @@ mod tests {
     #[test]
     fn midpoint_children_match_rect_orthants() {
         // The builders' child ordering (axis 0 = most significant bit)
-        // is the same convention as `Rect::orthant`.
+        // is the one `Rect::orthant_of` names: child `j` is the midpoint
+        // orthant whose points `orthant_of` sends to `j`.
         let domain = Rect::from_corners([0.0; 3], [8.0; 3]).unwrap();
         let tree = PsdConfig::quadtree(domain, 2, 1.0)
             .with_seed(2)
             .build(&cube_points_3d(8, 8.0))
             .unwrap();
         for v in tree.node_ids() {
+            let parent = tree.rect(v);
             for (j, c) in tree.children(v).enumerate() {
-                assert_eq!(
-                    tree.rect(c),
-                    tree.rect(v).orthant(j),
-                    "child {j} of node {v}"
-                );
+                let child = tree.rect(c);
+                for k in 0..3 {
+                    let mid = parent.min[k] + parent.side(k) / 2.0;
+                    let want = if j >> (2 - k) & 1 == 1 {
+                        (mid, parent.max[k])
+                    } else {
+                        (parent.min[k], mid)
+                    };
+                    assert_eq!(child.extent(k), want, "axis {k} of child {j} of node {v}");
+                }
+                let corner = Point::from_coords(child.min);
+                assert_eq!(parent.orthant_of(&corner), j, "child {j} of node {v}");
             }
         }
     }
@@ -1418,6 +1470,38 @@ mod tests {
             PsdConfig::<4>::quadtree(domain4, 8, 1.0).build(&[]),
             Err(DpsdError::Build(BuildError::TooManyNodes { .. }))
         ));
+    }
+
+    #[test]
+    fn epsilons_that_cannot_be_noised_are_refused() {
+        // Without this check a quadtree at 1e-300 answered NaN, one at
+        // 1e-307 wrote bytes its own loader rejects, and one at 1e-310
+        // panicked in the Laplace sampler; at 1e155 the square is inf.
+        let domain = unit_domain();
+        let pts = grid_points(22, &domain);
+        let refused = |config: PsdConfig| match config.build(&pts) {
+            Err(DpsdError::Build(BuildError::InvalidEpsilon(e))) => e,
+            other => panic!("{}: {:?}", config.kind, other.map(|t| t.query(&domain))),
+        };
+        for eps in [1e-300, 1e-307, 1e-310, 1e155] {
+            for config in [
+                PsdConfig::quadtree(domain, 3, eps),
+                PsdConfig::kd_standard(domain, 3, eps),
+                PsdConfig::kd_cell(domain, 3, eps, (16, 16)),
+            ] {
+                assert_eq!(refused(config).to_bits(), eps.to_bits());
+            }
+        }
+        // A total whose square is normal can still split into level
+        // budgets whose squares are not; the first such level is named.
+        let eps = 2e-154f64;
+        assert!((eps * eps).is_normal());
+        assert!(refused(PsdConfig::quadtree(domain, 3, eps)) < eps);
+        // Every count of a build that passes is finite.
+        let tree = PsdConfig::quadtree(domain, 3, 1e-100).build(&pts).unwrap();
+        assert!(tree.query(&domain).is_finite());
+        let bytes = tree.release().to_flat_bytes();
+        assert!(crate::tree::ReleasedSynopsis::<2>::from_bytes(&bytes).is_ok());
     }
 
     #[test]

@@ -10,10 +10,11 @@
 //! deems the region uniform, in which case the split degenerates to the
 //! midpoint (splitting uniform regions more cleverly has nothing to
 //! gain, mirroring \[26\]'s "split nodes which are not considered
-//! uniform"). Exact node counts are tallied from the data afterwards and
-//! perturbed by the count stage like every other family.
+//! uniform"). The cuts run through the builders' one point-partition
+//! recursion, which tallies the exact node counts from the data as it
+//! cuts; the count stage perturbs them like every other family's.
 
-use super::build::{partition_in_place, BuildError, PsdConfig, TreeKind};
+use super::build::{split_points, BuildError, PsdConfig, TreeKind};
 use crate::geometry::{Point, Rect};
 use crate::median::CellGridNd;
 use rand::rngs::StdRng;
@@ -25,10 +26,11 @@ const UNIFORMITY_THRESHOLD: f64 = 0.4;
 /// Builds boxes and exact counts for a `kd-cell` tree in any dimension.
 ///
 /// The split grid is a [`CellGridNd`] at the resolution given by
-/// [`PsdConfig::grid_resolution_nd`]; each flattened node performs one
-/// split per axis in sequence, reading the axis marginal's median off
-/// the noisy grid — unless the region scores uniform, in which case the
-/// split degenerates to the midpoint.
+/// [`PsdConfig::grid_resolution_nd`]. The tree is the builders' one
+/// point-partition recursion ([`split_points`]) with a grid rule: each
+/// flattened node performs one split per axis in sequence, reading the
+/// axis marginal's median off the noisy grid — unless the region scores
+/// uniform, in which case the split degenerates to the midpoint.
 pub(crate) fn build_structure_nd<const D: usize>(
     config: &PsdConfig<D>,
     eps_grid: f64,
@@ -49,75 +51,31 @@ pub(crate) fn build_structure_nd<const D: usize>(
         eps_grid,
     );
 
-    let mut buf: Vec<Point<D>> = points.to_vec();
-
-    #[allow(clippy::too_many_arguments)]
-    fn recurse<const D: usize>(
-        config: &PsdConfig<D>,
-        grid: &CellGridNd<D>,
-        v: usize,
-        depth: usize,
-        rect: Rect<D>,
-        pts: &mut [Point<D>],
-        rects: &mut [Rect<D>],
-        true_counts: &mut [f64],
-    ) {
-        rects[v] = rect;
-        true_counts[v] = pts.len() as f64;
-        if depth == config.height {
-            return;
-        }
-        // One uniformity verdict per node governs the axis-0 split;
-        // deeper stages re-test each piece.
-        let uniform = grid.uniformity_score(&rect) < UNIFORMITY_THRESHOLD;
-        let mut pieces: Vec<(Rect<D>, usize, usize)> = vec![(rect, 0, pts.len())];
-        for axis in 0..D {
-            let mut next = Vec::with_capacity(pieces.len() * 2);
-            for &(r, start, len) in pieces.iter() {
-                let split = if axis == 0 {
-                    if uniform {
-                        r.midpoint(0)
-                    } else {
-                        grid.median_along(0, &r)
-                    }
-                } else if uniform || grid.uniformity_score(&r) < UNIFORMITY_THRESHOLD {
-                    r.midpoint(axis)
-                } else {
-                    grid.median_along(axis, &r)
-                };
-                let (r_lo, r_hi) = r.split_at(axis, split);
-                let boundary = r_lo.max[axis];
-                let slice = &mut pts[start..start + len];
-                let mid = partition_in_place(slice, |p| p.coords[axis] < boundary);
-                next.push((r_lo, start, mid));
-                next.push((r_hi, start + mid, len - mid));
-            }
-            pieces = next;
-        }
-        let first_child = (1usize << D) * v + 1;
-        for (j, &(child_rect, start, len)) in pieces.iter().enumerate() {
-            recurse(
-                config,
-                grid,
-                first_child + j,
-                depth + 1,
-                child_rect,
-                &mut pts[start..start + len],
-                rects,
-                true_counts,
-            );
-        }
-    }
-
-    recurse(
-        config,
-        &grid,
+    // One uniformity verdict per node, taken on its axis-0 piece (the
+    // node's own box), governs every axis of that node; when it is not
+    // uniform, the deeper axes re-test each piece. `split_points` runs
+    // all of a node's axes before it descends, so the verdict is the
+    // node's own.
+    let mut uniform = false;
+    split_points(
+        config.height,
         0,
         0,
         config.domain,
-        &mut buf,
+        &mut points.to_vec(),
         rects,
         true_counts,
+        &mut Vec::new(),
+        &mut |axis, r| {
+            if axis == 0 {
+                uniform = grid.uniformity_score(r) < UNIFORMITY_THRESHOLD;
+            }
+            if uniform || (axis > 0 && grid.uniformity_score(r) < UNIFORMITY_THRESHOLD) {
+                r.midpoint(axis)
+            } else {
+                grid.median_along(axis, r)
+            }
+        },
     );
     Ok(())
 }

@@ -36,6 +36,7 @@ mod kdcell;
 pub mod prune;
 pub mod released;
 
+pub(crate) use build::{split_points, LevelBudgets};
 pub use build::{BuildError, PsdConfig, TreeKind};
 pub use dpsd_hilbert::CurveKind;
 pub use released::ReleasedSynopsis;

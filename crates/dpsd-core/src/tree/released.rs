@@ -36,7 +36,8 @@
 //! epsilon, `h + 1` finite non-negative entries in both level vectors,
 //! a valid domain, complete-tree column lengths, a valid box per node,
 //! finite counts, withheld counts read as `0.0`, and, for a
-//! post-processed release, a released leaf level before OLS is
+//! post-processed release, a released leaf level and count budgets
+//! whose squares (the OLS weights) are normal `f64`s before OLS is
 //! recomputed. A corrupt artifact therefore fails with the same
 //! [`DpsdError::Format`] reason in either format.
 //!
@@ -67,6 +68,7 @@
 use crate::error::DpsdError;
 use crate::geometry::Rect;
 use crate::postprocess::ols_over_columns;
+use crate::tree::build::noisable;
 use crate::tree::{complete_tree_nodes_checked, first_index_at_depth, TreeKind, MAX_NODES};
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 
@@ -196,11 +198,18 @@ impl<const D: usize> ReleasedSynopsis<D> {
         if !postprocessed {
             return Ok(self);
         }
-        // OLS weighs the leaf level, so it needs released leaf counts.
+        // OLS weighs the leaf level, so it needs released leaf counts,
+        // and it weighs each level by `ε²`, which must be a normal f64
+        // as in every build.
         if self.eps_count[0] <= 0.0 {
             return Err(DpsdError::format(
                 "postprocessed synopsis must carry leaf-level count budget",
             ));
+        }
+        if let Some(e) = self.eps_count.iter().find(|&&e| e != 0.0 && !noisable(e)) {
+            return Err(DpsdError::format(format!(
+                "`eps_count` entry {e} cannot weigh OLS: its square is not a normal f64"
+            )));
         }
         Ok(self.with_ols())
     }
@@ -359,14 +368,8 @@ impl<const D: usize> ReleasedSynopsis<D> {
 
     /// Serializes to compact JSON.
     pub fn to_json(&self) -> String {
-        // dpsd-allow(no-panic-in-lib): release() clamps every count to a finite value, and finite f64s always serialize
+        // dpsd-allow(no-panic-in-lib): every count is finite (builds refuse any level epsilon without a normal square, so each Laplace draw is finite; loaders reject non-finite counts), and finite f64s always serialize
         serde_json::to_string(self).expect("synopsis values are always finite")
-    }
-
-    /// Serializes to indented JSON (for inspection and diffs).
-    pub fn to_json_pretty(&self) -> String {
-        // dpsd-allow(no-panic-in-lib): same finiteness invariant as to_json above
-        serde_json::to_string_pretty(self).expect("synopsis values are always finite")
     }
 
     /// Parses and fully validates a published synopsis (see the module
@@ -671,18 +674,6 @@ mod tests {
             ReleasedSynopsis::from_json(&leafy.release().to_json()).unwrap();
         assert_eq!(loaded.noisy_count(0), None, "withheld root stays withheld");
         assert!(!loaded.is_postprocessed());
-    }
-
-    #[test]
-    fn pretty_json_parses_too() {
-        let (domain, pts) = sample_points();
-        let tree = PsdConfig::quadtree(domain, 2, 0.5)
-            .with_seed(3)
-            .build(&pts)
-            .unwrap();
-        let pretty = tree.release().to_json_pretty();
-        let loaded = ReleasedSynopsis::from_json(&pretty).unwrap();
-        assert_eq!(loaded.query(&domain), range_query(&tree, &domain));
     }
 
     #[test]

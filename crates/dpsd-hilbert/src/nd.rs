@@ -194,7 +194,8 @@ impl<const D: usize> NdCurve<D> {
         // Interleave: bit i of axis j lands at index bit i·D + (D-1-j),
         // so axis 0 holds the most significant bit of each D-bit group
         // (the transposed-index convention; for Z-order this is plain
-        // Morton order consistent with `Rect::orthant` indexing).
+        // Morton order consistent with `Rect::orthant_of`, which also
+        // puts axis 0 in the most significant bit).
         let mut h = 0u64;
         for i in (0..self.order).rev() {
             for c in x.iter() {

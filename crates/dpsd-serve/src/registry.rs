@@ -43,6 +43,19 @@ pub enum AnySynopsis {
     D4(ReleasedSynopsis<4>),
 }
 
+/// Hosts a typed release as it is, without a wire round trip (the
+/// stream's epoch releases).
+macro_rules! any_from_typed {
+    ($($d:literal => $variant:ident),*) => {$(
+        impl From<ReleasedSynopsis<$d>> for AnySynopsis {
+            fn from(s: ReleasedSynopsis<$d>) -> Self {
+                AnySynopsis::$variant(s)
+            }
+        }
+    )*};
+}
+any_from_typed!(1 => D1, 2 => D2, 3 => D3, 4 => D4);
+
 /// Runs `$body` with `$s` bound to the typed `&ReleasedSynopsis<D>` of
 /// whichever dimension `$any` holds. Generic functions called inside
 /// the body infer `D` from `$s`.
@@ -320,8 +333,10 @@ impl SynopsisRegistry {
     }
 
     /// Publishes an artifact whose epsilon was already debited from the
-    /// tenant ledger via [`SynopsisRegistry::debit`] — the stream
-    /// release path, which must debit *before* drawing noise.
+    /// tenant ledger via [`SynopsisRegistry::debit`]: the stream's
+    /// release path (which must debit *before* drawing noise) for a
+    /// caller that holds the release as bytes. The stream manager
+    /// itself hosts each release as built.
     pub fn publish_predebited(
         &self,
         name: &str,
@@ -336,8 +351,9 @@ impl SynopsisRegistry {
     /// hot-swap under one write lock, in that order, staged on a copy
     /// of the entry. Any failure leaves the tenant untouched — cap,
     /// spend, published artifact and version counter — and a tenant
-    /// refused on its first request is not created.
-    fn install(
+    /// refused on its first request is not created. The stream hosts
+    /// each epoch release here as built, already debited.
+    pub(crate) fn install(
         &self,
         name: &str,
         synopsis: AnySynopsis,
@@ -366,8 +382,8 @@ impl SynopsisRegistry {
 
     /// Debits `eps` from `name`'s ledger without publishing — the
     /// stream manager reserves each epoch's release epsilon here before
-    /// noise is drawn, then ships the bytes via
-    /// [`SynopsisRegistry::publish_predebited`]. Atomic with respect to
+    /// noise is drawn, then hosts the release without a second debit.
+    /// Atomic with respect to
     /// concurrent manual publishes: both paths contend on the same
     /// write lock and ledger.
     pub fn debit(&self, name: &str, eps: f64) -> Result<TenantBudget, ServeError> {

@@ -7,9 +7,9 @@
 //! fed with `POST /synopses/{name}/ingest`. Epoch ticking is driven
 //! purely by the absorbed-point count — when the stream total crosses
 //! `epoch_points * (epochs_released + 1)` the ingest request that
-//! crossed it materializes the release, publishes the `dpsd-bin` bytes
-//! through the ordinary registry path (so hot-swap and cache-purge
-//! semantics are identical to a manual publish), and reports the new
+//! crossed it materializes the release, hosts it as built through the
+//! registry's swap path (so hot-swap and cache-purge semantics are
+//! identical to a manual publish), and reports the new
 //! version in its response. No wall clock is consulted anywhere:
 //! replaying the same point stream against a fresh server yields the
 //! same synopsis bytes at every version, which is what the loadgen soak
@@ -34,10 +34,11 @@
 
 use crate::cache::ShardedCache;
 use crate::error::ServeError;
-use crate::registry::{validate_name, SynopsisRegistry};
+use crate::registry::{validate_name, AnySynopsis, SynopsisRegistry};
 use crate::sync::{lock_or_recover, read_or_recover, write_or_recover};
 use dpsd_core::geometry::{Point, Rect};
 use dpsd_core::stream::{Admission, EpsilonSchedule, StreamConfig, StreamIngestor};
+use dpsd_core::tree::ReleasedSynopsis;
 use serde::Value;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, RwLock};
@@ -466,7 +467,10 @@ impl IngestRun<'_> {
         ingestor: &mut StreamIngestor<D>,
         points: &[Vec<f64>],
         users: Option<&[u64]>,
-    ) -> Result<IngestReport, ServeError> {
+    ) -> Result<IngestReport, ServeError>
+    where
+        AnySynopsis: From<ReleasedSynopsis<D>>,
+    {
         match (ingestor.user_cap(), users) {
             (Some(_), None) => {
                 return Err(ServeError::BadRequest(
@@ -516,7 +520,10 @@ impl IngestRun<'_> {
     fn release_if_at_boundary<const D: usize>(
         &mut self,
         ingestor: &mut StreamIngestor<D>,
-    ) -> Result<(), ServeError> {
+    ) -> Result<(), ServeError>
+    where
+        AnySynopsis: From<ReleasedSynopsis<D>>,
+    {
         let boundary = (ingestor.epoch() + 1).saturating_mul(self.epoch_points);
         if ingestor.total_points() != boundary {
             return Ok(());
@@ -533,12 +540,14 @@ impl IngestRun<'_> {
         self.registry
             .debit(self.name, ingestor.next_release_debit())?;
         let release = ingestor.release_epoch()?;
-        // Publish through the registry's predebited path: identical
-        // hot-swap and cache-purge semantics to a manual POST, without
-        // double-charging the epsilon reserved in step (2).
-        let (published, _budget) = self
-            .registry
-            .publish_predebited(self.name, &release.synopsis.to_flat_bytes())?;
+        // Host the release as built through the registry's swap path:
+        // identical hot-swap and cache-purge semantics to a manual
+        // POST, without double-charging the epsilon reserved in step
+        // (2). Every release the builder makes already holds the
+        // invariants a loader checks, so nothing is encoded or decoded.
+        let (published, _budget) =
+            self.registry
+                .install(self.name, release.synopsis.into(), None, None)?;
         self.cache.purge_stale(self.name, published.version);
         *self.latest_version = Some(published.version);
         self.releases.push(ReleasedEpoch {
@@ -786,16 +795,75 @@ mod tests {
             .release();
         let served = registry.get("s").unwrap();
         assert_eq!(served.version, 2);
-        // The served synopsis answers exactly like the direct build.
+        // The hosted synopsis is the direct build, byte for byte, and
+        // answers exactly like it (OLS included).
         use dpsd_core::synopsis::SpatialSynopsis;
         let q = Rect::new(3.0, 5.0, 40.0, 33.0).unwrap();
-        let direct_answer = direct.query(&q);
         match &served.synopsis {
-            crate::registry::AnySynopsis::D2(flat) => {
-                assert_eq!(flat.query(&q).to_bits(), direct_answer.to_bits());
+            AnySynopsis::D2(flat) => {
+                assert_eq!(flat.to_flat_bytes(), direct.to_flat_bytes());
+                assert_eq!(flat.query(&q).to_bits(), direct.query(&q).to_bits());
             }
             _ => panic!("expected a 2-d synopsis"),
         }
+    }
+
+    #[test]
+    fn unnoisable_epsilons_are_refused_before_any_debit() {
+        // A fixed epsilon of 1e-310 cannot be noised at all, and a
+        // geometric schedule reaches such epochs after about 500
+        // releases. Either way every boundary answers 400 before either
+        // ledger is debited, and the stream and the registry stay in
+        // step.
+        let manager = StreamManager::new();
+        let registry = SynopsisRegistry::new();
+        let cache = ShardedCache::new(64);
+        let mut fixed = spec_2d(1);
+        fixed.schedule = EpsilonSchedule::Fixed { epsilon: 1e-310 };
+        let mut geometric = spec_2d(1);
+        geometric.height = 1;
+        geometric.schedule = EpsilonSchedule::Geometric {
+            first: 1.0,
+            ratio: 0.5,
+        };
+        for (name, spec) in [("fixed", fixed), ("geometric", geometric)] {
+            manager.create(name, &spec, &registry).unwrap();
+            let observed = || {
+                let info = manager.info(name).unwrap();
+                let field = |k: &str| info.get(k).and_then(Value::as_f64).unwrap();
+                (
+                    registry.budget(name).unwrap().spent.to_bits(),
+                    field("epsilon_spent").to_bits(),
+                    field("epochs_released") as u64,
+                    registry.get(name).map(|p| p.version),
+                )
+            };
+            let mut refusals = 0;
+            for p in wire_points(600) {
+                let before = observed();
+                match manager.ingest(name, &[p], None, &registry, &cache) {
+                    Ok(_) => assert_eq!(refusals, 0, "`{name}` released after a refusal"),
+                    Err(e) => {
+                        assert_eq!(e.status(), 400, "`{name}`: {e}");
+                        refusals += 1;
+                        let (spent, stream_spent, epochs, version) = before;
+                        // The refused point itself may be absorbed; the
+                        // ledgers, the epoch and the version do not move.
+                        assert_eq!(observed(), (spent, stream_spent, epochs, version));
+                    }
+                }
+                let (spent, stream_spent, epochs, version) = observed();
+                assert_eq!(spent, stream_spent, "`{name}`: one debit per release");
+                assert_eq!(
+                    version.unwrap_or(0),
+                    epochs,
+                    "`{name}`: versions track epochs"
+                );
+            }
+            assert!(refusals > 0, "`{name}` was never refused");
+        }
+        assert_eq!(registry.get("fixed").map(|p| p.version), None);
+        assert!(registry.get("geometric").unwrap().version > 500);
     }
 
     #[test]
@@ -912,7 +980,8 @@ mod tests {
         use dpsd_core::synopsis::SpatialSynopsis;
         let q = Rect::new(3.0, 5.0, 40.0, 33.0).unwrap();
         match &served.synopsis {
-            crate::registry::AnySynopsis::D2(flat) => {
+            AnySynopsis::D2(flat) => {
+                assert_eq!(flat.to_flat_bytes(), direct.to_flat_bytes());
                 assert_eq!(flat.query(&q).to_bits(), direct.query(&q).to_bits());
             }
             _ => panic!("expected a 2-d synopsis"),

@@ -493,6 +493,12 @@ fn both_formats_reject_each_corruption_alike() {
             tamper(eps_count, &f64le(0.0)),
             "leaf-level count budget",
         ),
+        (
+            "post-processed with a level budget OLS cannot weigh",
+            edit_json(&json, "eps_count", 0, |a| set_element(a, 1, "1e-200")),
+            tamper(eps_count + 8, &f64le(1e-200)),
+            "cannot weigh OLS",
+        ),
     ];
     for (label, text, blob, needle) in cases {
         assert_ne!(text, json, "{label}: the JSON edit changed nothing");

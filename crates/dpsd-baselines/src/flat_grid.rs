@@ -10,13 +10,14 @@
 //! (the cell count is exponential in `D`), which is what the
 //! `fig8_dim_sweep` experiment demonstrates against the tree families.
 //!
-//! The grid is const-generic over the dimension (default 2):
-//! [`FlatGrid::build`] keeps the planar `(nx, ny)` signature, while
-//! [`FlatGrid::build_nd`] takes a per-axis resolution array in any `D`.
+//! The release is kd-cell's noisy grid, [`CellGridNd`], drawn from
+//! `seeded(seed)`. The baseline reads it without clamping: a query sums
+//! every overlapped cell's raw noisy count, negative noise included,
+//! times its overlap fraction, so the estimate stays unbiased.
 
 use dpsd_core::error::DpsdError;
 use dpsd_core::geometry::{Point, Rect};
-use dpsd_core::mech::laplace::laplace_mechanism;
+use dpsd_core::median::CellGridNd;
 use dpsd_core::query::QueryProfile;
 use dpsd_core::rng::seeded;
 use dpsd_core::synopsis::SpatialSynopsis;
@@ -25,49 +26,15 @@ use dpsd_core::synopsis::SpatialSynopsis;
 /// domain (`D = 2` when elided).
 #[derive(Debug, Clone)]
 pub struct FlatGrid<const D: usize = 2> {
-    domain: Rect<D>,
-    res: [usize; D],
-    noisy: Vec<f64>,
+    grid: CellGridNd<D>,
     epsilon: f64,
 }
 
-impl FlatGrid<2> {
-    /// Builds a planar release: exact cell histogram + `Lap(1/eps)` per
-    /// cell (kept source-compatible with the pre-generic API; see
-    /// [`FlatGrid::build_nd`] for any dimension).
-    pub fn build(
-        points: &[Point],
-        domain: Rect,
-        nx: usize,
-        ny: usize,
-        eps: f64,
-        seed: u64,
-    ) -> Result<Self, DpsdError> {
-        Self::build_nd(points, domain, [nx, ny], eps, seed)
-    }
-
-    /// Grid resolution `(nx, ny)`.
-    pub fn resolution(&self) -> (usize, usize) {
-        (self.res[0], self.res[1])
-    }
-}
-
-/// Flat index with axis 0 fastest (for `D = 2`: `ix + iy * nx`, the
-/// classic row-major layout).
-fn flat_index<const D: usize>(res: &[usize; D], idx: &[usize; D]) -> usize {
-    let mut flat = 0usize;
-    let mut stride = 1usize;
-    for k in 0..D {
-        flat += idx[k] * stride;
-        stride *= res[k];
-    }
-    flat
-}
-
 impl<const D: usize> FlatGrid<D> {
-    /// Builds the release in any dimension: exact cell histogram over
-    /// `res[0] x … x res[D-1]` cells plus `Lap(1/eps)` per cell.
-    pub fn build_nd(
+    /// Builds the release: the exact cell histogram over
+    /// `res[0] x … x res[D-1]` cells plus `Lap(1/eps)` per cell. Points
+    /// outside `domain` are not counted.
+    pub fn build(
         points: &[Point<D>],
         domain: Rect<D>,
         res: [usize; D],
@@ -92,80 +59,29 @@ impl<const D: usize> FlatGrid<D> {
                 format!("must be positive and finite, got {eps}"),
             ));
         }
-        let cells = res
+        if res
             .iter()
             .try_fold(1usize, |acc, &r| acc.checked_mul(r))
-            .ok_or_else(|| {
-                DpsdError::invalid_parameter("resolution", format!("cell count overflows: {res:?}"))
-            })?;
-        let mut rng = seeded(seed);
-        let mut noisy = vec![0.0f64; cells];
-        for p in points {
-            if !domain.contains(*p) {
-                continue;
-            }
-            let mut idx = [0usize; D];
-            for (k, slot) in idx.iter_mut().enumerate() {
-                let w = domain.side(k) / res[k] as f64;
-                *slot = (((p.coords[k] - domain.min[k]) / w) as usize).min(res[k] - 1);
-            }
-            noisy[flat_index(&res, &idx)] += 1.0;
-        }
-        for c in noisy.iter_mut() {
-            *c = laplace_mechanism(&mut rng, *c, 1.0, eps);
+            .is_none()
+        {
+            return Err(DpsdError::invalid_parameter(
+                "resolution",
+                format!("cell count overflows: {res:?}"),
+            ));
         }
         Ok(FlatGrid {
-            domain,
-            res,
-            noisy,
+            grid: CellGridNd::build(&mut seeded(seed), points, domain, res, eps),
             epsilon: eps,
         })
     }
 
-    /// Grid resolution per axis.
-    pub fn resolution_nd(&self) -> [usize; D] {
-        self.res
-    }
-
-    /// Variance of a query that fully covers `k` cells: `k * 2 / eps^2`.
-    /// Exposed so experiments can display the introduction's argument
-    /// (error grows with the number of touched cells).
-    pub fn covered_cell_variance(&self, cells: usize) -> f64 {
-        cells as f64 * 2.0 / (self.epsilon * self.epsilon)
-    }
-
-    /// Width of one cell along `axis`.
-    fn cell_width(&self, axis: usize) -> f64 {
-        self.domain.side(axis) / self.res[axis] as f64
-    }
-
-    /// Shared prorating loop behind both query entry points: sums noisy
-    /// cells weighted by overlap fraction, tallying the profile when one
-    /// is supplied. Iterates the touched cell block with an odometer,
-    /// axis 0 fastest.
+    /// Sums the overlapped cells' raw noisy counts, each weighted by
+    /// its overlap fraction `1 · f_0 · f_1 · …`, and tallies the
+    /// profile when one is supplied.
     fn query_inner(&self, query: &Rect<D>, mut profile: Option<&mut QueryProfile>) -> f64 {
-        let Some(clip) = self.domain.intersection(query) else {
-            return 0.0;
-        };
-        let mut widths = [0.0f64; D];
-        let mut i0 = [0usize; D];
-        let mut i1 = [0usize; D];
-        for k in 0..D {
-            let w = self.cell_width(k);
-            widths[k] = w;
-            i0[k] = (((clip.min[k] - self.domain.min[k]) / w) as usize).min(self.res[k] - 1);
-            i1[k] = (((clip.max[k] - self.domain.min[k]) / w) as usize).min(self.res[k] - 1);
-        }
-        let mut idx = i0;
         let mut total = 0.0;
-        loop {
-            let mut fraction = 1.0;
-            for (k, &cell) in idx.iter().enumerate() {
-                let w = widths[k];
-                let c_lo = self.domain.min[k] + cell as f64 * w;
-                let f = ((clip.max[k].min(c_lo + w) - clip.min[k].max(c_lo)) / w).max(0.0);
-                fraction *= f;
-            }
+        self.grid.for_overlapping(query, |_, count, fracs| {
+            let fraction = fracs.iter().fold(1.0, |f, &fk| f * fk);
             if fraction > 0.0 {
                 if let Some(p) = profile.as_deref_mut() {
                     if fraction >= 1.0 {
@@ -174,22 +90,10 @@ impl<const D: usize> FlatGrid<D> {
                         p.partial_leaves += 1;
                     }
                 }
-                total += self.noisy[flat_index(&self.res, &idx)] * fraction;
+                total += count * fraction;
             }
-            // Odometer increment; carry from axis 0 upward.
-            let mut k = 0;
-            loop {
-                if k == D {
-                    return total;
-                }
-                if idx[k] < i1[k] {
-                    idx[k] += 1;
-                    break;
-                }
-                idx[k] = i0[k];
-                k += 1;
-            }
-        }
+        });
+        total
     }
 }
 
@@ -212,7 +116,7 @@ impl<const D: usize> SpatialSynopsis<D> for FlatGrid<D> {
     }
 
     fn domain(&self) -> Rect<D> {
-        self.domain
+        *self.grid.rect()
     }
 
     /// The privacy budget the release spent.
@@ -222,7 +126,7 @@ impl<const D: usize> SpatialSynopsis<D> for FlatGrid<D> {
 
     /// Number of released cells.
     fn node_count(&self) -> usize {
-        self.noisy.len()
+        self.grid.resolution().iter().product()
     }
 }
 
@@ -248,7 +152,7 @@ mod tests {
     fn small_queries_are_accurate_at_high_eps() {
         let domain = Rect::new(0.0, 0.0, 64.0, 64.0).unwrap();
         let pts = uniform_points(64, &domain);
-        let grid = FlatGrid::build(&pts, domain, 32, 32, 10.0, 1).unwrap();
+        let grid = FlatGrid::build(&pts, domain, [32, 32], 10.0, 1).unwrap();
         let q = Rect::new(0.0, 0.0, 16.0, 16.0).unwrap();
         let truth = pts.iter().filter(|p| q.contains(**p)).count() as f64;
         let est = grid.query(&q);
@@ -263,7 +167,7 @@ mod tests {
         let domain = Rect::new(0.0, 0.0, 64.0, 64.0).unwrap();
         let (mut small_err, mut large_err) = (0.0, 0.0);
         for seed in 0..40 {
-            let grid = FlatGrid::build(&[], domain, 64, 64, 0.5, seed).unwrap();
+            let grid = FlatGrid::build(&[], domain, [64, 64], 0.5, seed).unwrap();
             let small = Rect::new(0.0, 0.0, 4.0, 4.0).unwrap(); // 16 cells
             let large = Rect::new(0.0, 0.0, 56.0, 56.0).unwrap(); // 3136 cells
             small_err += grid.query(&small).abs();
@@ -276,16 +180,9 @@ mod tests {
     }
 
     #[test]
-    fn covered_cell_variance_formula() {
-        let domain = Rect::new(0.0, 0.0, 1.0, 1.0).unwrap();
-        let grid = FlatGrid::build(&[], domain, 2, 2, 0.5, 0).unwrap();
-        assert_eq!(grid.covered_cell_variance(10), 10.0 * 2.0 / 0.25);
-    }
-
-    #[test]
     fn disjoint_query_is_zero() {
         let domain = Rect::new(0.0, 0.0, 1.0, 1.0).unwrap();
-        let grid = FlatGrid::build(&[], domain, 4, 4, 1.0, 3).unwrap();
+        let grid = FlatGrid::build(&[], domain, [4, 4], 1.0, 3).unwrap();
         assert_eq!(grid.query(&Rect::new(5.0, 5.0, 6.0, 6.0).unwrap()), 0.0);
         let (est, profile) = grid.query_profiled(&Rect::new(5.0, 5.0, 6.0, 6.0).unwrap());
         assert_eq!(est, 0.0);
@@ -295,8 +192,8 @@ mod tests {
     #[test]
     fn reproducible_by_seed() {
         let domain = Rect::new(0.0, 0.0, 8.0, 8.0).unwrap();
-        let a = FlatGrid::build(&[], domain, 8, 8, 1.0, 7).unwrap();
-        let b = FlatGrid::build(&[], domain, 8, 8, 1.0, 7).unwrap();
+        let a = FlatGrid::build(&[], domain, [8, 8], 1.0, 7).unwrap();
+        let b = FlatGrid::build(&[], domain, [8, 8], 1.0, 7).unwrap();
         assert_eq!(a.query(&domain), b.query(&domain));
     }
 
@@ -305,16 +202,16 @@ mod tests {
         let domain = Rect::new(0.0, 0.0, 1.0, 1.0).unwrap();
         let line = Rect::new(0.0, 0.0, 1.0, 0.0).unwrap();
         for bad in [
-            FlatGrid::build(&[], domain, 0, 4, 1.0, 0),
-            FlatGrid::build(&[], line, 4, 4, 1.0, 0),
-            FlatGrid::build(&[], domain, 4, 4, 0.0, 0),
-            FlatGrid::build(&[], domain, 4, 4, f64::INFINITY, 0),
+            FlatGrid::build(&[], domain, [0, 4], 1.0, 0),
+            FlatGrid::build(&[], line, [4, 4], 1.0, 0),
+            FlatGrid::build(&[], domain, [4, 4], 0.0, 0),
+            FlatGrid::build(&[], domain, [4, 4], f64::INFINITY, 0),
         ] {
             assert!(matches!(bad, Err(DpsdError::InvalidParameter { .. })));
         }
         let cube = Rect::from_corners([0.0; 3], [1.0; 3]).unwrap();
         assert!(matches!(
-            FlatGrid::build_nd(&[], cube, [4, 0, 4], 1.0, 0),
+            FlatGrid::build(&[], cube, [4, 0, 4], 1.0, 0),
             Err(DpsdError::InvalidParameter { .. })
         ));
     }
@@ -322,7 +219,7 @@ mod tests {
     #[test]
     fn synopsis_accessors_and_profile() {
         let domain = Rect::new(0.0, 0.0, 8.0, 8.0).unwrap();
-        let grid = FlatGrid::build(&[], domain, 4, 4, 1.0, 9).unwrap();
+        let grid = FlatGrid::build(&[], domain, [4, 4], 1.0, 9).unwrap();
         assert_eq!(SpatialSynopsis::domain(&grid), domain);
         assert_eq!(SpatialSynopsis::epsilon(&grid), 1.0);
         assert_eq!(SpatialSynopsis::node_count(&grid), 16);
@@ -344,6 +241,19 @@ mod tests {
     }
 
     #[test]
+    fn an_overlap_with_underflowing_volume_still_counts() {
+        // The query's overlap with the domain has zero `f64` volume
+        // (1e-360 underflows), but its one cell has a non-zero share,
+        // so the grid reads it as a partial cell.
+        let domain = Rect::from_corners([0.0; 4], [1e-70; 4]).unwrap();
+        let q = Rect::from_corners([-1.0; 4], [1e-90; 4]).unwrap();
+        let grid = FlatGrid::<4>::build(&[], domain, [1; 4], 1.0, 3).unwrap();
+        let (est, profile) = grid.query_profiled(&q);
+        assert_ne!(est, 0.0);
+        assert_eq!(profile.partial_leaves, 1);
+    }
+
+    #[test]
     fn three_d_grid_counts_accurately_at_high_eps() {
         let cube = Rect::from_corners([0.0; 3], [8.0; 3]).unwrap();
         let pts: Vec<Point<3>> = (0..8 * 8 * 8)
@@ -355,9 +265,8 @@ mod tests {
                 ])
             })
             .collect();
-        let grid = FlatGrid::build_nd(&pts, cube, [8, 8, 8], 50.0, 2).unwrap();
+        let grid = FlatGrid::build(&pts, cube, [8, 8, 8], 50.0, 2).unwrap();
         assert_eq!(grid.node_count(), 512);
-        assert_eq!(grid.resolution_nd(), [8, 8, 8]);
         // Half-cube, cell-aligned: 256 points.
         let q = Rect::from_corners([0.0; 3], [4.0, 8.0, 8.0]).unwrap();
         let est = grid.query(&q);

@@ -5,7 +5,9 @@
 //! * [`flat_grid`] — the flat noisy-grid release sketched in the paper's
 //!   introduction (lay a fine grid over the data, add Laplace noise to
 //!   every cell): the strawman whose poor accuracy on large queries
-//!   motivates hierarchical PSDs.
+//!   motivates hierarchical PSDs. The release is kd-cell's noisy grid,
+//!   [`dpsd_core::median::CellGridNd`], read without clamping negative
+//!   cells.
 //!
 //! Both baselines answer queries through
 //! [`dpsd_core::synopsis::SpatialSynopsis`], the same interface as every

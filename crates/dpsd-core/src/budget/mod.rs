@@ -95,7 +95,8 @@ impl CountBudget {
     /// # Panics
     ///
     /// Panics if `eps_count <= 0`, or a custom weight vector has the
-    /// wrong length, negative entries, a zero sum, or a zero leaf weight.
+    /// wrong length, a negative or non-finite entry, a non-finite sum,
+    /// or a zero leaf weight.
     pub fn levels(&self, height: usize, eps_count: f64) -> Vec<f64> {
         self.levels_for_dims(height, eps_count, 2)
     }
@@ -128,23 +129,39 @@ impl CountBudget {
                 v
             }
             CountBudget::Custom(weights) => {
-                assert_eq!(
-                    weights.len(),
-                    h + 1,
-                    "custom budget needs h+1 = {} weights, got {}",
-                    h + 1,
-                    weights.len()
-                );
-                assert!(
-                    weights.iter().all(|&w| w >= 0.0),
-                    "custom budget weights must be non-negative"
-                );
+                let checked = self.check(h);
+                assert!(checked.is_ok(), "{checked:?}");
                 let sum: f64 = weights.iter().sum();
-                assert!(sum > 0.0, "custom budget weights sum to zero");
-                assert!(weights[0] > 0.0, "leaf level must receive budget");
                 weights.iter().map(|w| eps_count * w / sum).collect()
             }
         }
+    }
+
+    /// Checks the strategy against a tree of the given height: a custom
+    /// vector needs `h + 1` finite, non-negative weights with a finite
+    /// sum and a positive leaf weight. Builders run this before
+    /// [`CountBudget::levels_for_dims`], so a bad vector is a typed
+    /// [`DpsdError::InvalidParameter`], never that method's panic.
+    pub(crate) fn check(&self, height: usize) -> Result<(), DpsdError> {
+        let CountBudget::Custom(weights) = self else {
+            return Ok(());
+        };
+        let problem = if weights.len() != height + 1 {
+            format!(
+                "custom budget needs h+1 = {} weights, got {}",
+                height + 1,
+                weights.len()
+            )
+        } else if !weights.iter().all(|w| w.is_finite() && *w >= 0.0)
+            || !weights.iter().sum::<f64>().is_finite()
+        {
+            "custom budget weights must be finite and non-negative, with a finite sum".into()
+        } else if weights[0] <= 0.0 {
+            "leaf level must receive budget".into()
+        } else {
+            return Ok(());
+        };
+        Err(DpsdError::invalid_parameter("count_budget", problem))
     }
 }
 
@@ -160,12 +177,27 @@ pub struct BudgetSplit {
 
 impl BudgetSplit {
     /// Creates a split, validating the fraction.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the fraction lies in `(0, 1]`.
     pub fn new(count_fraction: f64) -> Self {
-        assert!(
-            count_fraction > 0.0 && count_fraction <= 1.0,
-            "count fraction must be in (0, 1], got {count_fraction}"
-        );
-        BudgetSplit { count_fraction }
+        let split = BudgetSplit { count_fraction };
+        let checked = split.check();
+        assert!(checked.is_ok(), "{checked:?}");
+        split
+    }
+
+    /// Checks that the count fraction lies in `(0, 1]`. The field is
+    /// public, so builders run this instead of trusting a split.
+    pub(crate) fn check(&self) -> Result<(), DpsdError> {
+        if self.count_fraction > 0.0 && self.count_fraction <= 1.0 {
+            return Ok(());
+        }
+        Err(DpsdError::invalid_parameter(
+            "split.count_fraction",
+            format!("must be in (0, 1], got {}", self.count_fraction),
+        ))
     }
 
     /// The paper's 70/30 default.

@@ -1,5 +1,5 @@
 //! Cell-based (fixed-grid) median heuristic of Xiao et al. \[26\]
-//! (paper Section 6.1).
+//! (paper Section 6.1), and the workspace's one noisy-grid release.
 //!
 //! A fixed-resolution grid is laid over the data once; each cell count is
 //! released with Laplace noise (sensitivity 1). Medians for any subregion
@@ -8,112 +8,25 @@
 //! reaches half, interpolating inside the crossing cell.
 //!
 //! The accuracy depends on how coarse the grid is relative to the data
-//! distribution — the trade-off Figure 4(a) ("cell") illustrates.
+//! distribution — the trade-off Figure 4(a) ("cell") illustrates. The
+//! introduction's flat-grid strawman (`FlatGrid` in `dpsd-baselines`) is
+//! this same release, read through [`CellGridNd::for_overlapping`]
+//! without the clamp.
 
 use crate::geometry::{Point, Rect};
 use crate::mech::laplace::laplace_mechanism;
 use rand::Rng;
 
-/// A one-dimensional noisy grid over `[lo, hi]`.
-#[derive(Debug, Clone)]
-pub struct CellGrid1D {
-    lo: f64,
-    hi: f64,
-    counts: Vec<f64>,
-}
-
-impl CellGrid1D {
-    /// Builds the grid: exact per-cell histogram plus `Lap(1/eps)` noise
-    /// on every cell.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_cells == 0`, `eps <= 0`, or `lo >= hi`.
-    pub fn build<R: Rng + ?Sized>(
-        rng: &mut R,
-        values: &[f64],
-        lo: f64,
-        hi: f64,
-        n_cells: usize,
-        eps: f64,
-    ) -> Self {
-        assert!(n_cells > 0, "grid needs at least one cell");
-        assert!(lo < hi, "invalid 1D domain [{lo}, {hi}]");
-        assert!(eps > 0.0, "eps must be positive, got {eps}");
-        let width = (hi - lo) / n_cells as f64;
-        let mut counts = vec![0.0f64; n_cells];
-        for &v in values {
-            let idx = (((v - lo) / width) as usize).min(n_cells - 1);
-            counts[idx] += 1.0;
-        }
-        for c in counts.iter_mut() {
-            *c = laplace_mechanism(rng, *c, 1.0, eps);
-        }
-        CellGrid1D { lo, hi, counts }
-    }
-
-    /// Number of cells.
-    pub fn len(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Whether the grid has no cells (never true for built grids).
-    pub fn is_empty(&self) -> bool {
-        self.counts.is_empty()
-    }
-
-    /// Width of one cell.
-    pub fn cell_width(&self) -> f64 {
-        (self.hi - self.lo) / self.counts.len() as f64
-    }
-
-    /// Estimated median of the data restricted to `[a, b]`, read from the
-    /// noisy counts. Negative noisy cells are clamped to zero mass;
-    /// partial boundary cells are prorated by overlap. Returns the
-    /// midpoint of `[a, b]` when no mass remains.
-    pub fn median_in(&self, a: f64, b: f64) -> f64 {
-        let a = a.max(self.lo);
-        let b = b.min(self.hi);
-        if a >= b {
-            return (a + b) / 2.0;
-        }
-        let w = self.cell_width();
-        let first = ((a - self.lo) / w) as usize;
-        let last = (((b - self.lo) / w) as usize).min(self.counts.len() - 1);
-        let mass = |i: usize| -> f64 {
-            let c_lo = self.lo + i as f64 * w;
-            let c_hi = c_lo + w;
-            let overlap = (b.min(c_hi) - a.max(c_lo)).max(0.0) / w;
-            self.counts[i].max(0.0) * overlap
-        };
-        let total: f64 = (first..=last).map(mass).sum();
-        if total <= 0.0 {
-            return (a + b) / 2.0;
-        }
-        let half = total / 2.0;
-        let mut cum = 0.0;
-        for i in first..=last {
-            let m_i = mass(i);
-            if cum + m_i >= half && m_i > 0.0 {
-                let c_lo = (self.lo + i as f64 * w).max(a);
-                let c_hi = (self.lo + (i + 1) as f64 * w).min(b);
-                let frac = ((half - cum) / m_i).clamp(0.0, 1.0);
-                return c_lo + frac * (c_hi - c_lo);
-            }
-            cum += m_i;
-        }
-        (a + b) / 2.0
-    }
-}
-
-/// A `D`-dimensional noisy grid over a box, used by the `kd-cell` tree
-/// to choose splits and to test node uniformity.
+/// A `D`-dimensional noisy grid over a box: the `kd-cell` tree reads it
+/// to choose splits and to test node uniformity, Figure 4 reads 1-D
+/// medians off it, and the flat-grid baseline answers range counts
+/// from it.
 ///
 /// Cell counts are stored in a flat vector with axis 0 fastest
 /// (`idx = i_0 + n_0 · (i_1 + n_1 · (i_2 + …))`) and perturbed once
-/// with `Lap(1/eps)` each, in that linear order. Region reads prorate
-/// boundary cells by per-axis overlap fractions and clamp negative
-/// noisy cells to zero mass.
+/// with `Lap(1/eps)` each, in that linear order. The region reads
+/// below prorate boundary cells by per-axis overlap fractions and clamp
+/// negative noisy cells to zero mass.
 #[derive(Debug, Clone)]
 pub struct CellGridNd<const D: usize> {
     rect: Rect<D>,
@@ -122,7 +35,9 @@ pub struct CellGridNd<const D: usize> {
 }
 
 impl<const D: usize> CellGridNd<D> {
-    /// Builds the grid with `Lap(1/eps)` noise per cell.
+    /// Builds the grid: the exact histogram of the points inside `rect`
+    /// (closed edges; a point on the upper edge falls in the last cell)
+    /// plus `Lap(1/eps)` noise per cell.
     ///
     /// # Panics
     ///
@@ -181,7 +96,7 @@ impl<const D: usize> CellGridNd<D> {
     /// negative cells clamped to zero).
     pub fn noisy_count_in(&self, region: &Rect<D>) -> f64 {
         let mut total = 0.0;
-        self.for_overlapping(region, |_, mass| total += mass);
+        self.for_masses(region, |_, mass| total += mass);
         total
     }
 
@@ -195,18 +110,31 @@ impl<const D: usize> CellGridNd<D> {
     pub fn median_along(&self, axis: usize, region: &Rect<D>) -> f64 {
         assert!(axis < D, "grid has axes 0..{D}, got {axis}");
         let (lo, hi) = region.extent(axis);
-        let mut marginal = vec![0.0f64; self.res[axis]];
-        self.for_overlapping(region, |idx, mass| marginal[idx[axis]] += mass);
+        // The marginal over only the region's span of cells along
+        // `axis`, starting at the first cell visited: a read then costs
+        // the region's cells rather than the whole axis (fig4's grid has
+        // 2^16), and cells outside the span would add only zeros.
+        let mut first = None;
+        let mut marginal = Vec::new();
+        self.for_masses(region, |idx, mass| {
+            let i = idx[axis] - *first.get_or_insert(idx[axis]);
+            if i >= marginal.len() {
+                marginal.resize(i + 1, 0.0);
+            }
+            marginal[i] += mass;
+        });
         let total: f64 = marginal.iter().sum();
         if total <= 0.0 {
             return lo + (hi - lo) / 2.0;
         }
+        let first = first.unwrap_or_default();
         let axis_lo = self.rect.min[axis];
         let cell_w = self.rect.side(axis) / self.res[axis] as f64;
         let half = total / 2.0;
         let mut cum = 0.0;
-        for (i, &m) in marginal.iter().enumerate() {
+        for (j, &m) in marginal.iter().enumerate() {
             if m > 0.0 && cum + m >= half {
+                let i = first + j;
                 let c_lo = (axis_lo + i as f64 * cell_w).max(lo);
                 let c_hi = (axis_lo + (i + 1) as f64 * cell_w).min(hi);
                 let frac = ((half - cum) / m).clamp(0.0, 1.0);
@@ -224,7 +152,7 @@ impl<const D: usize> CellGridNd<D> {
     /// Regions with no positive mass score 0 (nothing left to split).
     pub fn uniformity_score(&self, region: &Rect<D>) -> f64 {
         let mut masses = Vec::new();
-        self.for_overlapping(region, |_, mass| masses.push(mass));
+        self.for_masses(region, |_, mass| masses.push(mass));
         if masses.is_empty() {
             return 0.0;
         }
@@ -236,12 +164,35 @@ impl<const D: usize> CellGridNd<D> {
         mad / mean
     }
 
-    /// Visits every cell overlapping `region` (odometer order, axis 0
-    /// fastest) with its prorated, clamped-non-negative mass.
-    fn for_overlapping<F: FnMut(&[usize; D], f64)>(&self, region: &Rect<D>, mut f: F) {
-        let clip = match self.rect.intersection(region) {
-            Some(c) if c.area() > 0.0 || region.area() == 0.0 => c,
-            _ => return,
+    /// Visits every cell overlapping `region` with its prorated mass,
+    /// the count clamped at zero and then multiplied by each overlap
+    /// fraction in axis order, `(c · f_0) · f_1 · …`: the pinned
+    /// `kd-cell` release bytes depend on this rounding order. A region
+    /// of positive volume whose overlap with the box has zero `f64`
+    /// volume visits nothing.
+    fn for_masses(&self, region: &Rect<D>, mut f: impl FnMut(&[usize; D], f64)) {
+        let overlap = self.rect.intersection(region);
+        if region.area() > 0.0 && !overlap.is_some_and(|c| c.area() > 0.0) {
+            return;
+        }
+        self.for_overlapping(region, |idx, count, fracs| {
+            f(idx, fracs.iter().fold(count.max(0.0), |m, &fk| m * fk));
+        });
+    }
+
+    /// Visits every cell `region` touches in odometer order (axis 0
+    /// fastest) with its index, its raw noisy count (negative noise
+    /// included) and, per axis, the share of the cell's extent that
+    /// lies inside `region`. A region disjoint from the grid box visits
+    /// nothing; where the overlap is flat on an axis, every visited
+    /// cell's share on that axis is zero.
+    pub fn for_overlapping<F: FnMut(&[usize; D], f64, &[f64; D])>(
+        &self,
+        region: &Rect<D>,
+        mut f: F,
+    ) {
+        let Some(clip) = self.rect.intersection(region) else {
+            return;
         };
         let width: [f64; D] = std::array::from_fn(|k| self.rect.side(k) / self.res[k] as f64);
         let cell_of =
@@ -263,12 +214,7 @@ impl<const D: usize> CellGridNd<D> {
         let mut fracs: [f64; D] = std::array::from_fn(|k| overlap(k, i0[k]));
         loop {
             let linear: usize = (0..D).map(|k| idx[k] * strides[k]).sum();
-            // Multiply in axis order, `(c · f_0) · f_1 · …`: the pinned
-            // release bytes depend on this rounding order.
-            let mass = fracs
-                .iter()
-                .fold(self.counts[linear].max(0.0), |m, &fk| m * fk);
-            f(&idx, mass);
+            f(&idx, self.counts[linear], &fracs);
             let mut k = 0;
             loop {
                 if k == D {
@@ -291,38 +237,6 @@ impl<const D: usize> CellGridNd<D> {
 mod tests {
     use super::*;
     use crate::rng::seeded;
-
-    #[test]
-    fn grid1d_median_of_uniform_data() {
-        let mut rng = seeded(41);
-        let values: Vec<f64> = (0..100_000).map(|i| (i as f64) / 100.0).collect(); // [0, 1000)
-        let grid = CellGrid1D::build(&mut rng, &values, 0.0, 1000.0, 256, 1.0);
-        let med = grid.median_in(0.0, 1000.0);
-        assert!((med - 500.0).abs() < 20.0, "median {med}");
-        // Median of the left half restricted range.
-        let med_left = grid.median_in(0.0, 500.0);
-        assert!((med_left - 250.0).abs() < 20.0, "left median {med_left}");
-    }
-
-    #[test]
-    fn grid1d_empty_region_returns_midpoint() {
-        let mut rng = seeded(42);
-        let grid = CellGrid1D::build(&mut rng, &[], 0.0, 100.0, 10, 10.0);
-        // High eps keeps noisy counts near 0; some may be positive, but a
-        // degenerate query range must return its midpoint.
-        assert_eq!(grid.median_in(40.0, 40.0), 40.0);
-    }
-
-    #[test]
-    fn grid1d_skewed_data() {
-        let mut rng = seeded(43);
-        let mut values = vec![10.0f64; 50_000];
-        values.extend(std::iter::repeat_n(900.0, 10_000));
-        let grid = CellGrid1D::build(&mut rng, &values, 0.0, 1000.0, 512, 1.0);
-        let med = grid.median_in(0.0, 1000.0);
-        // True median is 10; the grid should put it in the low cells.
-        assert!(med < 50.0, "median {med} should be near the heavy cluster");
-    }
 
     #[test]
     fn grid2d_median_and_count() {
@@ -387,13 +301,6 @@ mod tests {
         let far = Rect::new(100.0, 100.0, 200.0, 200.0).unwrap();
         assert_eq!(grid.noisy_count_in(&far), 0.0);
         assert_eq!(grid.uniformity_score(&far), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one cell")]
-    fn zero_cells_rejected() {
-        let mut rng = seeded(0);
-        let _ = CellGrid1D::build(&mut rng, &[], 0.0, 1.0, 0, 1.0);
     }
 
     #[test]
@@ -524,6 +431,13 @@ mod tests {
         let grid = CellGridNd::<1>::build(&mut rng, &points, rect, [256], 1.0);
         let med = grid.median_along(0, &rect);
         assert!((med - 500.0).abs() < 20.0, "median {med}");
+        // A subrange starting past the first cell reads its own median.
+        let right = Rect::from_corners([500.0], [1000.0]).unwrap();
+        let med = grid.median_along(0, &right);
+        assert!((med - 750.0).abs() < 20.0, "right median {med}");
+        // A zero-width range returns its own coordinate.
+        let point = Rect::from_corners([40.0], [40.0]).unwrap();
+        assert_eq!(grid.median_along(0, &point), 40.0);
     }
 
     #[test]

@@ -9,9 +9,12 @@
 //! * [`smooth_sensitivity_median`] — Laplace noise scaled by the smooth
 //!   sensitivity of the median (Definition 4; `(eps, delta)`-DP);
 //! * [`noisy_mean_split`] — the noisy-mean heuristic of Inan et al. \[12\];
-//! * [`CellGrid1D`] / [`CellGridNd`] — the fixed-grid heuristic of Xiao
-//!   et al. \[26\] (noisy cell counts computed once, medians read off
-//!   the grid), over one coordinate and over boxes in any dimension.
+//! * [`CellGridNd`] — the fixed-grid heuristic of Xiao et al. \[26\]
+//!   (noisy cell counts computed once, medians read off the grid) over
+//!   boxes in any dimension, `D = 1` included. It is also the
+//!   workspace's one noisy-grid release: the flat-grid baseline in
+//!   `dpsd-baselines` is this grid read without clamping negative
+//!   cells.
 //!
 //! [`exact_median`] is the non-private baseline (used by `kd-pure` /
 //! `kd-true` in Section 8.2), and [`MedianConfig`] is the configuration
@@ -23,7 +26,7 @@ mod exponential;
 mod noisy_mean;
 mod smooth;
 
-pub use cell::{CellGrid1D, CellGridNd};
+pub use cell::CellGridNd;
 pub use exponential::exponential_median;
 pub use noisy_mean::noisy_mean_split;
 pub use smooth::{smooth_sensitivity_median, smooth_sensitivity_sigma, smoothing_xi};

@@ -49,6 +49,28 @@ pub fn ols_postprocess<const D: usize>(tree: &PsdTree<D>) -> Vec<f64> {
     )
 }
 
+/// The largest node count [`ols_fits`] provisions for, `2^64`.
+const MAX_OLS_COUNT: f64 = 18_446_744_073_709_551_616.0;
+
+/// Whether OLS over the level budgets `eps_levels` stays finite for
+/// every tree of counts up to `2^64`, whatever the data: it needs
+/// `f^h · E_h · 2^64` finite, with `E_h = Σ_j f^j·ε_j²` as in Phase III.
+/// That product bounds every α, `Z`, `f^l·F` and β the three phases
+/// form. The rule reads only the budgets, so builds, streams and
+/// loaders can all refuse budgets that could overflow before any count
+/// is seen.
+pub(crate) fn ols_fits(fanout: usize, eps_levels: &[f64]) -> bool {
+    let f = fanout as f64;
+    let (mut e_h, mut f_pow) = (0.0, 1.0);
+    for eps in eps_levels {
+        e_h += f_pow * eps * eps;
+        f_pow *= f;
+    }
+    // `f_pow` is now `f^(h+1)`; fanouts are powers of two, so the
+    // division is exact.
+    (f_pow / f * e_h * MAX_OLS_COUNT).is_finite()
+}
+
 /// The algorithm itself, operating on plain columns so trees, the
 /// synopsis loaders, and tests can all call it.
 ///

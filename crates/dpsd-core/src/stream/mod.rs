@@ -361,7 +361,10 @@ pub struct StreamIngestor<const D: usize> {
 
 impl<const D: usize> StreamIngestor<D> {
     /// Creates an ingestor; validates the geometry, height, schedule,
-    /// and budget cap with the same error kinds as the batch builder.
+    /// and budget cap with the same error kinds as the batch builder,
+    /// and refuses a schedule whose first epoch the batch builder's
+    /// budgets would refuse (an epsilon that cannot be noised or
+    /// weighed), so such a stream is never created.
     pub fn new(config: StreamConfig<D>) -> Result<Self, DpsdError> {
         if D == 0 {
             return Err(BuildError::UnsupportedDimension {
@@ -389,6 +392,7 @@ impl<const D: usize> StreamIngestor<D> {
             }
         };
         config.schedule.validate()?;
+        batch_config_for(&config, 0).budgets()?;
         if let Some(w) = config.window {
             if !(1..=MAX_WINDOW_EPOCHS).contains(&w) {
                 return Err(DpsdError::invalid_parameter(
@@ -862,9 +866,23 @@ mod tests {
 
     #[test]
     fn unnoisable_epoch_is_refused_before_the_debit() {
-        let config = StreamConfig::new(unit_domain(), 3, fixed(1e-310), 1.0, 1);
+        // A first epoch that cannot be noised refuses the stream itself.
+        for eps in [1e-310, 1e153] {
+            let config = StreamConfig::new(unit_domain(), 3, fixed(eps), 1.0, 1);
+            assert!(matches!(
+                StreamIngestor::new(config),
+                Err(DpsdError::Build(BuildError::InvalidEpsilon(e))) if e == eps
+            ));
+        }
+        // A later one is refused at its boundary, before the debit.
+        let schedule = EpsilonSchedule::Geometric {
+            first: 0.5,
+            ratio: 1e-200,
+        };
+        let config = StreamConfig::new(unit_domain(), 3, schedule, 1.0, 1);
         let mut ingestor = StreamIngestor::new(config).unwrap();
         ingestor.absorb_all(&stream_points(20)).unwrap();
+        ingestor.release_epoch().unwrap();
         for _ in 0..3 {
             assert!(matches!(
                 ingestor.check_next_release(),
@@ -875,8 +893,8 @@ mod tests {
                 Err(DpsdError::Build(BuildError::InvalidEpsilon(_)))
             ));
         }
-        assert_eq!(ingestor.ledger().spent(), 0.0);
-        assert_eq!(ingestor.epoch(), 0);
+        assert_eq!(ingestor.ledger().spent(), 0.5);
+        assert_eq!(ingestor.epoch(), 1);
     }
 
     #[test]

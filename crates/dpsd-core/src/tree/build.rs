@@ -60,6 +60,7 @@ use crate::geometry::{Point, Rect};
 use crate::mech::laplace::laplace_mechanism;
 use crate::mech::sampling::SamplingPlan;
 use crate::median::{MedianConfig, MedianSelector};
+use crate::postprocess::ols_fits;
 use crate::rng::seeded;
 use crate::tree::{complete_tree_nodes_checked, PsdTree, MAX_NODES};
 use dpsd_hilbert::CurveKind;
@@ -204,7 +205,10 @@ pub enum BuildError {
     /// A private family's epsilon, or a level budget drawn from it,
     /// cannot be noised and weighed in `f64`: it is not positive, or
     /// its square (the level's OLS weight; `1 / ε` is its Laplace
-    /// scale) is not a normal `f64`. Carries the offending value.
+    /// scale) is not a normal `f64`, or the count levels are so large
+    /// that OLS sums over counts up to `2^64` could overflow. Carries
+    /// the offending level, or the total when the levels overflow
+    /// together.
     InvalidEpsilon(f64),
     /// The height would allocate more than the node cap.
     TooManyNodes { height: usize, nodes: usize },
@@ -520,10 +524,17 @@ impl<const D: usize> PsdConfig<D> {
     /// The per-level count and median budgets, audited against the
     /// total epsilon.
     ///
-    /// Refuses, as [`BuildError::InvalidEpsilon`], any budget that is
-    /// not [`noisable`]: the total first, so no level can underflow to a
-    /// silent zero, then every non-zero level.
+    /// The split and the count strategy are checked first, as typed
+    /// [`DpsdError::InvalidParameter`] errors: both are public settings
+    /// a caller can fill in by hand. Then any budget that is not
+    /// [`noisable`] is refused as [`BuildError::InvalidEpsilon`]: the
+    /// total first, so no level can underflow to a silent zero, then
+    /// every non-zero level; so is a count vector whose OLS sums could
+    /// overflow (see [`ols_fits`]), carrying the total. Last, the path
+    /// audit must find the levels within the total.
     pub(crate) fn budgets(&self) -> Result<LevelBudgets, DpsdError> {
+        self.split.check()?;
+        self.count_budget.check(self.height)?;
         if self.is_private() && !noisable(self.epsilon) {
             return Err(BuildError::InvalidEpsilon(self.epsilon).into());
         }
@@ -562,9 +573,21 @@ impl<const D: usize> PsdConfig<D> {
         {
             return Err(BuildError::InvalidEpsilon(e).into());
         }
+        if !ols_fits(1 << D, &count) {
+            return Err(BuildError::InvalidEpsilon(self.epsilon).into());
+        }
         if self.is_private() {
             let audit = audit_path_epsilon(&count, &median)?;
-            debug_assert!(audit.within(self.epsilon), "budget audit failed: {audit:?}");
+            if !audit.within(self.epsilon) {
+                return Err(DpsdError::invalid_parameter(
+                    "epsilon",
+                    format!(
+                        "level budgets spend {} along a path, more than the total {}",
+                        audit.total(),
+                        self.epsilon
+                    ),
+                ));
+            }
         }
         Ok(LevelBudgets {
             count,
@@ -1476,14 +1499,15 @@ mod tests {
     fn epsilons_that_cannot_be_noised_are_refused() {
         // Without this check a quadtree at 1e-300 answered NaN, one at
         // 1e-307 wrote bytes its own loader rejects, and one at 1e-310
-        // panicked in the Laplace sampler; at 1e155 the square is inf.
+        // panicked in the Laplace sampler; at 1e155 the square is inf,
+        // and at 1e153 and 1e154 OLS answered inf and NaN.
         let domain = unit_domain();
         let pts = grid_points(22, &domain);
         let refused = |config: PsdConfig| match config.build(&pts) {
             Err(DpsdError::Build(BuildError::InvalidEpsilon(e))) => e,
             other => panic!("{}: {:?}", config.kind, other.map(|t| t.query(&domain))),
         };
-        for eps in [1e-300, 1e-307, 1e-310, 1e155] {
+        for eps in [1e-300, 1e-307, 1e-310, 1e153, 1e154, 1e155] {
             for config in [
                 PsdConfig::quadtree(domain, 3, eps),
                 PsdConfig::kd_standard(domain, 3, eps),
@@ -1502,6 +1526,42 @@ mod tests {
         assert!(tree.query(&domain).is_finite());
         let bytes = tree.release().to_flat_bytes();
         assert!(crate::tree::ReleasedSynopsis::<2>::from_bytes(&bytes).is_ok());
+    }
+
+    #[test]
+    fn malformed_budget_settings_are_typed_errors() {
+        // Before these checks the custom vectors and the negative
+        // fraction panicked, and a fraction of 2 built a tree whose
+        // count levels spent twice the epsilon it reported.
+        let domain = unit_domain();
+        let pts = grid_points(10, &domain);
+        let custom = |h, weights: Vec<f64>| {
+            PsdConfig::quadtree(domain, h, 1.0).with_count_budget(CountBudget::Custom(weights))
+        };
+        let split = |fraction| {
+            PsdConfig::kd_standard(domain, 3, 1.0).with_split(BudgetSplit {
+                count_fraction: fraction,
+            })
+        };
+        for (config, param) in [
+            (custom(3, vec![1.0, 1.0]), "count_budget"),
+            (custom(2, vec![0.0, 1.0, 1.0]), "count_budget"),
+            (custom(2, vec![1.0, f64::NAN, 1.0]), "count_budget"),
+            (custom(2, vec![1.0, -1.0, 1.0]), "count_budget"),
+            (custom(2, vec![1e308, 1e308, 1.0]), "count_budget"),
+            (split(2.0), "split.count_fraction"),
+            (split(-0.5), "split.count_fraction"),
+            (split(0.0), "split.count_fraction"),
+            (split(f64::NAN), "split.count_fraction"),
+        ] {
+            match config.build(&pts) {
+                Err(DpsdError::InvalidParameter { param: p, .. }) => assert_eq!(p, param),
+                other => panic!("{param}: {:?}", other.map(|t| t.epsilon())),
+            }
+        }
+        // A well-formed custom vector and split still build.
+        custom(2, vec![2.0, 0.0, 1.0]).build(&pts).unwrap();
+        split(1.0).build(&pts).unwrap();
     }
 
     #[test]

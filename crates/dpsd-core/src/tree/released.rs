@@ -35,11 +35,13 @@
 //! itself: fanout `2^D` within the node cap, a finite non-negative
 //! epsilon, `h + 1` finite non-negative entries in both level vectors,
 //! a valid domain, complete-tree column lengths, a valid box per node,
-//! finite counts, withheld counts read as `0.0`, and, for a
+//! finite counts, withheld counts read as `0.0`, level vectors that
+//! spend no more along a path than the declared epsilon, and, for a
 //! post-processed release, a released leaf level and count budgets
-//! whose squares (the OLS weights) are normal `f64`s before OLS is
-//! recomputed. A corrupt artifact therefore fails with the same
-//! [`DpsdError::Format`] reason in either format.
+//! whose squares (the OLS weights) are normal `f64`s and whose OLS
+//! sums cannot overflow, before OLS is recomputed. A corrupt artifact
+//! therefore fails with the same [`DpsdError::Format`] reason in
+//! either format.
 //!
 //! ```
 //! use dpsd_core::geometry::{Point, Rect};
@@ -65,9 +67,10 @@
 //!
 //! [`PsdTree`]: crate::tree::PsdTree
 
+use crate::budget::audit_path_epsilon;
 use crate::error::DpsdError;
 use crate::geometry::Rect;
-use crate::postprocess::ols_over_columns;
+use crate::postprocess::{ols_fits, ols_over_columns};
 use crate::tree::build::noisable;
 use crate::tree::{complete_tree_nodes_checked, first_index_at_depth, TreeKind, MAX_NODES};
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
@@ -195,23 +198,36 @@ impl<const D: usize> ReleasedSynopsis<D> {
                 *c = 0.0;
             }
         }
-        if !postprocessed {
-            return Ok(self);
-        }
         // OLS weighs the leaf level, so it needs released leaf counts,
         // and it weighs each level by `ε²`, which must be a normal f64
-        // as in every build.
-        if self.eps_count[0] <= 0.0 {
-            return Err(DpsdError::format(
-                "postprocessed synopsis must carry leaf-level count budget",
-            ));
+        // and small enough for its sums, as in every build.
+        if postprocessed {
+            if self.eps_count[0] <= 0.0 {
+                return Err(DpsdError::format(
+                    "postprocessed synopsis must carry leaf-level count budget",
+                ));
+            }
+            if let Some(e) = self.eps_count.iter().find(|&&e| e != 0.0 && !noisable(e)) {
+                return Err(DpsdError::format(format!(
+                    "`eps_count` entry {e} cannot weigh OLS: its square is not a normal f64"
+                )));
+            }
+            if !ols_fits(self.fanout, &self.eps_count) {
+                return Err(DpsdError::format(
+                    "`eps_count` levels are too large for OLS: its sums could overflow",
+                ));
+            }
         }
-        if let Some(e) = self.eps_count.iter().find(|&&e| e != 0.0 && !noisable(e)) {
+        // A release may not spend more along a path than it declares.
+        let audit = audit_path_epsilon(&self.eps_count, &self.eps_median)?;
+        if !audit.within(self.epsilon) {
             return Err(DpsdError::format(format!(
-                "`eps_count` entry {e} cannot weigh OLS: its square is not a normal f64"
+                "level budgets spend {} along a path, more than the declared epsilon {}",
+                audit.total(),
+                self.epsilon
             )));
         }
-        Ok(self.with_ols())
+        Ok(if postprocessed { self.with_ols() } else { self })
     }
 
     /// Installs the OLS column recomputed from the released counts.

@@ -29,7 +29,7 @@ pub fn intro_strawman(scale: &Scale, seed: u64) -> Vec<Table> {
     // worse the noise accumulation - the introduction's argument.
     let g = 1usize << (scale.quad_height + 2);
     // dpsd-allow(no-panic-in-lib): fixed experiment parameters, as above
-    let grid = FlatGrid::build(&points, TIGER_DOMAIN, g, g, eps, seed).expect("flat grid build");
+    let grid = FlatGrid::build(&points, TIGER_DOMAIN, [g, g], eps, seed).expect("flat grid build");
     let tree = PsdConfig::quadtree(TIGER_DOMAIN, scale.quad_height, eps)
         .with_seed(seed)
         .build(&points)

@@ -10,8 +10,9 @@
 
 use crate::common::{timed, Scale};
 use crate::report::Table;
+use dpsd_core::geometry::{Point, Rect};
 use dpsd_core::mech::sampling::SamplingPlan;
-use dpsd_core::median::{CellGrid1D, MedianConfig, MedianSelector};
+use dpsd_core::median::{CellGridNd, MedianConfig, MedianSelector};
 use dpsd_core::metrics::rank_error_pct;
 use dpsd_core::rng::seeded;
 use dpsd_data::synthetic::uniform_1d;
@@ -66,12 +67,20 @@ fn methods() -> Vec<(&'static str, Method)> {
     ]
 }
 
+/// The 1-D box `[lo, hi]` (callers keep `lo <= hi`).
+fn range(lo: f64, hi: f64) -> Rect<1> {
+    Rect {
+        min: [lo],
+        max: [hi],
+    }
+}
+
 /// Recursively splits `values` (sorted) down to `max_depth`, recording
 /// per-depth rank errors. Returns (per-depth mean rank error %, per-depth
 /// total milliseconds).
 fn run_method(
     method: &Method,
-    grid: Option<&CellGrid1D>,
+    grid: Option<&CellGridNd<1>>,
     sorted: &mut [f64],
     lo: f64,
     hi: f64,
@@ -84,7 +93,7 @@ fn run_method(
     #[allow(clippy::too_many_arguments)]
     fn recurse(
         method: &Method,
-        grid: Option<&CellGrid1D>,
+        grid: Option<&CellGridNd<1>>,
         values: &mut [f64],
         lo: f64,
         hi: f64,
@@ -100,7 +109,7 @@ fn run_method(
         let (split, ms) = timed(|| match method {
             Method::Selector(sel) => sel.select(rng, values, lo, hi, EPS_PER_LEVEL),
             // dpsd-allow(no-panic-in-lib): the Cell arm is only entered when the driver constructed the grid a few lines up
-            Method::Cell => grid.expect("grid built").median_in(lo, hi),
+            Method::Cell => grid.expect("grid built").median_along(0, &range(lo, hi)),
         });
         time_ms[depth] += ms;
         errs[depth].push(rank_error_pct(values, split));
@@ -183,12 +192,13 @@ pub fn run(scale: &Scale, seed: u64) -> Vec<Table> {
         let grid = match method {
             Method::Cell => {
                 let cells = (DOMAIN_HI / CELL_LENGTH) as usize;
-                Some(CellGrid1D::build(
+                let points: Vec<Point<1>> =
+                    values.iter().map(|&v| Point::from_coords([v])).collect();
+                Some(CellGridNd::build(
                     &mut rng,
-                    &values,
-                    0.0,
-                    DOMAIN_HI,
-                    cells,
+                    &points,
+                    range(0.0, DOMAIN_HI),
+                    [cells],
                     EPS_PER_LEVEL,
                 ))
             }

@@ -217,7 +217,7 @@ fn sweep_dim<const D: usize>(scale: &Scale, seed: u64, profile: &SweepProfile) -
                     rep_seed,
                 ),
                 _ => Box::new(
-                    FlatGrid::build_nd(&points, domain, [grid_res_for(D); D], EPSILON, rep_seed)
+                    FlatGrid::build(&points, domain, [grid_res_for(D); D], EPSILON, rep_seed)
                         // dpsd-allow(no-panic-in-lib): fixed experiment parameters, as above
                         .unwrap(),
                 ),

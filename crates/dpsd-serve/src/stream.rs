@@ -810,60 +810,62 @@ mod tests {
 
     #[test]
     fn unnoisable_epsilons_are_refused_before_any_debit() {
-        // A fixed epsilon of 1e-310 cannot be noised at all, and a
+        // A fixed epsilon of 1e-310 cannot be noised at all, so the
+        // stream is refused at creation and installs no cap. A
         // geometric schedule reaches such epochs after about 500
-        // releases. Either way every boundary answers 400 before either
-        // ledger is debited, and the stream and the registry stay in
-        // step.
+        // releases; from then on every boundary answers 400 before
+        // either ledger is debited, and the stream and the registry
+        // stay in step.
         let manager = StreamManager::new();
         let registry = SynopsisRegistry::new();
         let cache = ShardedCache::new(64);
         let mut fixed = spec_2d(1);
         fixed.schedule = EpsilonSchedule::Fixed { epsilon: 1e-310 };
+        let err = manager.create("fixed", &fixed, &registry).unwrap_err();
+        assert_eq!(err.status(), 400, "{err}");
+        assert!(
+            registry.budget("fixed").is_none(),
+            "a refused stream set a cap"
+        );
+        assert!(manager.ensure_exists("fixed").is_err());
+        let name = "geometric";
         let mut geometric = spec_2d(1);
         geometric.height = 1;
         geometric.schedule = EpsilonSchedule::Geometric {
             first: 1.0,
             ratio: 0.5,
         };
-        for (name, spec) in [("fixed", fixed), ("geometric", geometric)] {
-            manager.create(name, &spec, &registry).unwrap();
-            let observed = || {
-                let info = manager.info(name).unwrap();
-                let field = |k: &str| info.get(k).and_then(Value::as_f64).unwrap();
-                (
-                    registry.budget(name).unwrap().spent.to_bits(),
-                    field("epsilon_spent").to_bits(),
-                    field("epochs_released") as u64,
-                    registry.get(name).map(|p| p.version),
-                )
-            };
-            let mut refusals = 0;
-            for p in wire_points(600) {
-                let before = observed();
-                match manager.ingest(name, &[p], None, &registry, &cache) {
-                    Ok(_) => assert_eq!(refusals, 0, "`{name}` released after a refusal"),
-                    Err(e) => {
-                        assert_eq!(e.status(), 400, "`{name}`: {e}");
-                        refusals += 1;
-                        let (spent, stream_spent, epochs, version) = before;
-                        // The refused point itself may be absorbed; the
-                        // ledgers, the epoch and the version do not move.
-                        assert_eq!(observed(), (spent, stream_spent, epochs, version));
-                    }
+        manager.create(name, &geometric, &registry).unwrap();
+        let observed = || {
+            let info = manager.info(name).unwrap();
+            let field = |k: &str| info.get(k).and_then(Value::as_f64).unwrap();
+            (
+                registry.budget(name).unwrap().spent.to_bits(),
+                field("epsilon_spent").to_bits(),
+                field("epochs_released") as u64,
+                registry.get(name).map(|p| p.version),
+            )
+        };
+        let mut refusals = 0;
+        for p in wire_points(600) {
+            let before = observed();
+            match manager.ingest(name, &[p], None, &registry, &cache) {
+                Ok(_) => assert_eq!(refusals, 0, "released after a refusal"),
+                Err(e) => {
+                    assert_eq!(e.status(), 400, "{e}");
+                    refusals += 1;
+                    let (spent, stream_spent, epochs, version) = before;
+                    // The refused point itself may be absorbed; the
+                    // ledgers, the epoch and the version do not move.
+                    assert_eq!(observed(), (spent, stream_spent, epochs, version));
                 }
-                let (spent, stream_spent, epochs, version) = observed();
-                assert_eq!(spent, stream_spent, "`{name}`: one debit per release");
-                assert_eq!(
-                    version.unwrap_or(0),
-                    epochs,
-                    "`{name}`: versions track epochs"
-                );
             }
-            assert!(refusals > 0, "`{name}` was never refused");
+            let (spent, stream_spent, epochs, version) = observed();
+            assert_eq!(spent, stream_spent, "one debit per release");
+            assert_eq!(version.unwrap_or(0), epochs, "versions track epochs");
         }
-        assert_eq!(registry.get("fixed").map(|p| p.version), None);
-        assert!(registry.get("geometric").unwrap().version > 500);
+        assert!(refusals > 0, "never refused");
+        assert!(registry.get(name).unwrap().version > 500);
     }
 
     #[test]

@@ -708,6 +708,223 @@ fn median_families_match_their_byte_pins() {
     }
 }
 
+/// Points for the flat-grid pins over `[-2, 6]^D`: an irregular
+/// interior lattice, points on every half-unit edge (the cell edges of
+/// the power-of-two resolutions), both domain corners, and points
+/// outside the domain, which a grid skips. No RNG.
+fn flat_grid_points<const D: usize>() -> Vec<Point<D>> {
+    let mut pts: Vec<Point<D>> = (0..400usize)
+        .map(|i| {
+            Point::from_coords(std::array::from_fn(|k| {
+                -2.0 + ((i * (2 * k + 3) + k) % 97) as f64 * 0.0825
+            }))
+        })
+        .collect();
+    for i in 0..17 {
+        pts.push(Point::from_coords(std::array::from_fn(|k| {
+            -2.0 + ((i + k) % 17) as f64 * 0.5
+        })));
+    }
+    pts.push(Point::from_coords([6.0; D]));
+    pts.push(Point::from_coords([6.0; D]));
+    pts.push(Point::from_coords([-2.0; D]));
+    pts.push(Point::from_coords(std::array::from_fn(|k| {
+        if k == 0 {
+            6.5
+        } else {
+            1.0
+        }
+    })));
+    pts.push(Point::from_coords([-2.25; D]));
+    pts.push(Point::from_coords([100.0; D]));
+    pts
+}
+
+/// Queries for the flat-grid pins: the domain, a box larger than it,
+/// cell-aligned and unaligned boxes, a disjoint one, boxes that only
+/// touch the domain's upper corner or its lower face, zero-volume
+/// boxes, an overhanging one, and a sweep of unaligned boxes (some of
+/// them flat on an axis).
+fn flat_grid_queries<const D: usize>() -> Vec<Rect<D>> {
+    let rect = |lo: [f64; D], hi: [f64; D]| Rect::from_corners(lo, hi).unwrap();
+    let mut qs = vec![
+        rect([-2.0; D], [6.0; D]),
+        rect([-10.0; D], [20.0; D]),
+        rect([0.0; D], [4.0; D]),
+        rect([-1.3; D], [4.7; D]),
+        rect([10.0; D], [12.0; D]),
+        rect([6.0; D], [9.0; D]),
+        rect(
+            [-5.0; D],
+            std::array::from_fn(|k| if k == 0 { -2.0 } else { 3.0 }),
+        ),
+        rect([2.5; D], [2.5; D]),
+        rect(
+            std::array::from_fn(|k| if k == 0 { 1.0 } else { -1.0 }),
+            std::array::from_fn(|k| if k == 0 { 1.0 } else { 5.0 }),
+        ),
+        rect([3.0; D], [9.0; D]),
+        rect([-2.0; D], [-2.0 + 1e-9; D]),
+    ];
+    for i in 0..40usize {
+        let lo: [f64; D] = std::array::from_fn(|k| -3.0 + ((i * 7 + k * 3) % 23) as f64 * 0.37);
+        let hi = std::array::from_fn(|k| lo[k] + ((i * 5 + k) % 11) as f64 * 0.61);
+        qs.push(rect(lo, hi));
+    }
+    qs
+}
+
+/// Builds a flat grid at each resolution of `resolutions` and each of
+/// three epsilons, over three seeds, and folds every answer bit and
+/// every profile count the grid gives the query set.
+fn flat_grid_prints<const D: usize>(resolutions: &[[usize; D]]) -> Vec<(String, u64)> {
+    let domain = Rect::from_corners([-2.0; D], [6.0; D]).unwrap();
+    let (pts, queries) = (flat_grid_points::<D>(), flat_grid_queries::<D>());
+    let mut prints = Vec::new();
+    for res in resolutions {
+        for eps in [0.05, 0.7, 4.0] {
+            let mut h = Fnv::new();
+            for seed in [0, 7, 2012] {
+                let grid = FlatGrid::build(&pts, domain, *res, eps, seed).unwrap();
+                h.word(grid.node_count() as u64);
+                for q in &queries {
+                    let (est, profile) = grid.query_profiled(q);
+                    h.f64(grid.query(q));
+                    h.f64(est);
+                    h.word(profile.contained_per_level.len() as u64);
+                    for &c in &profile.contained_per_level {
+                        h.word(c as u64);
+                    }
+                    h.word(profile.partial_leaves as u64);
+                }
+            }
+            let res: Vec<String> = res.iter().map(usize::to_string).collect();
+            prints.push((format!("flat-grid/d{D}/r{}/eps{eps}", res.join("x")), h.0));
+        }
+    }
+    prints
+}
+
+/// Pins the flat-grid baseline's answers and query profiles at `D` in
+/// 1..=4, captured while it still drew its own grid. Regenerate with
+/// `PRINT_FINGERPRINTS=1` only for a deliberate change.
+#[test]
+fn flat_grid_answers_match_their_pins() {
+    let mut prints = flat_grid_prints::<1>(&[[1], [3], [8], [16]]);
+    prints.extend(flat_grid_prints::<2>(&[[4, 4], [3, 5], [8, 1], [16, 16]]));
+    prints.extend(flat_grid_prints::<3>(&[[2, 3, 4], [4, 4, 4], [8, 8, 8]]));
+    prints.extend(flat_grid_prints::<4>(&[
+        [2, 2, 2, 2],
+        [3, 1, 2, 4],
+        [4, 4, 4, 4],
+    ]));
+    if std::env::var("PRINT_FINGERPRINTS").is_ok() {
+        for (name, fp) in &prints {
+            println!("(\"{name}\", {fp:#018x}),");
+        }
+        return;
+    }
+    assert_eq!(prints.len(), GOLDEN_FLAT_GRID.len());
+    for (name, fp) in prints {
+        let expected = GOLDEN_FLAT_GRID
+            .iter()
+            .find(|(n, _)| *n == name)
+            .unwrap_or_else(|| panic!("no golden entry for {name}"))
+            .1;
+        assert_eq!(fp, expected, "{name}: flat-grid answers drifted");
+    }
+}
+
+/// The medians Figure 4's "cell" method reads: the grid it builds
+/// (`2^26 / 1024` cells over `[0, 2^26)`, `ε = 0.01` per cell, noise
+/// seeded with `seed ^ 0xF164`), read at every range of its binary
+/// recursion down to `max_depth`, each range split at its median.
+fn fig4_cell_medians(n: usize, max_depth: usize, seed: u64) -> Vec<f64> {
+    use dpsd::core::median::CellGridNd;
+    use dpsd::eval::fig4::{CELL_LENGTH, DOMAIN_HI, EPS_PER_LEVEL};
+
+    fn recurse(
+        grid: &CellGridNd<1>,
+        values: &[f64],
+        (lo, hi): (f64, f64),
+        depth: usize,
+        max_depth: usize,
+        medians: &mut Vec<f64>,
+    ) {
+        if depth > max_depth || values.is_empty() || hi <= lo {
+            return;
+        }
+        let split = grid.median_along(0, &Rect::from_corners([lo], [hi]).unwrap());
+        medians.push(split);
+        let mid = values.partition_point(|&x| x < split);
+        recurse(
+            grid,
+            &values[..mid],
+            (lo, split),
+            depth + 1,
+            max_depth,
+            medians,
+        );
+        recurse(
+            grid,
+            &values[mid..],
+            (split, hi),
+            depth + 1,
+            max_depth,
+            medians,
+        );
+    }
+
+    let mut values = dpsd::data::synthetic::uniform_1d(n, 0.0, DOMAIN_HI, seed);
+    values.sort_unstable_by(f64::total_cmp);
+    let points: Vec<Point<1>> = values.iter().map(|&v| Point::from_coords([v])).collect();
+    let grid = CellGridNd::build(
+        &mut dpsd::core::rng::seeded(seed ^ 0xF164),
+        &points,
+        Rect::from_corners([0.0], [DOMAIN_HI]).unwrap(),
+        [(DOMAIN_HI / CELL_LENGTH) as usize],
+        EPS_PER_LEVEL,
+    );
+    let mut medians = Vec::new();
+    recurse(&grid, &values, (0.0, DOMAIN_HI), 0, max_depth, &mut medians);
+    medians
+}
+
+/// Pins the 1-D cell medians Figure 4 reads, at its quick size
+/// recursed past its depth and at its paper size, captured while they
+/// were read off a one-dimensional grid of their own. Regenerate with
+/// `PRINT_FINGERPRINTS=1` only for a deliberate change.
+#[test]
+fn fig4_cell_medians_match_their_pins() {
+    let mut prints = Vec::new();
+    for (n, depth, seeds) in [(1 << 15, 12, &[7, 8, 2012][..]), (1 << 20, 9, &[2012][..])] {
+        for &seed in seeds {
+            let medians = fig4_cell_medians(n, depth, seed);
+            let mut h = Fnv::new();
+            for m in &medians {
+                h.f64(*m);
+            }
+            let name = format!("fig4-cell/n{n}/d{depth}/seed{seed}");
+            prints.push((name, medians.len(), h.0));
+        }
+    }
+    if std::env::var("PRINT_FINGERPRINTS").is_ok() {
+        for (name, len, fp) in &prints {
+            println!("(\"{name}\", {len}, {fp:#018x}),");
+        }
+        return;
+    }
+    assert_eq!(prints.len(), GOLDEN_FIG4_CELL.len());
+    for (name, len, fp) in prints {
+        let &(_, expected_len, expected) = GOLDEN_FIG4_CELL
+            .iter()
+            .find(|(n, _, _)| *n == name)
+            .unwrap_or_else(|| panic!("no golden entry for {name}"));
+        assert_eq!(len, expected_len, "{name}: fig4 visits other ranges");
+        assert_eq!(fp, expected, "{name}: fig4 cell medians drifted");
+    }
+}
+
 /// FNV folds of the probe releases' `dpsd-bin` bytes. Every curve entry
 /// and the kd-cell entries at `D <= 2` were captured while `D = 2` still
 /// ran separate planar builders, so they pin that the one generic
@@ -928,4 +1145,60 @@ const GOLDEN_MEDIAN_BIN: &[(&str, u64)] = &[
     ("kd-standard/smooth/d2/h4/scattered", 0x39fd55a540d108d2),
     ("kd-hybrid/sampled-em/d2/h5/scattered", 0x8f2c1657660c3580),
     ("kd-hybrid/smooth/d2/h5/scattered", 0x768b6340ea256fa0),
+];
+
+/// FNV folds of the flat-grid answers and query profiles, captured
+/// while `FlatGrid` drew and read its own grid.
+const GOLDEN_FLAT_GRID: &[(&str, u64)] = &[
+    ("flat-grid/d1/r1/eps0.05", 0x308748da32e9b8c1),
+    ("flat-grid/d1/r1/eps0.7", 0xc0145a2459911e19),
+    ("flat-grid/d1/r1/eps4", 0xa65324b8b116c791),
+    ("flat-grid/d1/r3/eps0.05", 0x1d3bc4094d16b1f0),
+    ("flat-grid/d1/r3/eps0.7", 0x56672182e5093d68),
+    ("flat-grid/d1/r3/eps4", 0x34c11b31077e584c),
+    ("flat-grid/d1/r8/eps0.05", 0xe93e7c8b922450f6),
+    ("flat-grid/d1/r8/eps0.7", 0x578fdfafe4ae2f7a),
+    ("flat-grid/d1/r8/eps4", 0x18daabfa83756c12),
+    ("flat-grid/d1/r16/eps0.05", 0x340be9fd8f09d65e),
+    ("flat-grid/d1/r16/eps0.7", 0x131f896c4ef3b116),
+    ("flat-grid/d1/r16/eps4", 0x97eb383b75375b9e),
+    ("flat-grid/d2/r4x4/eps0.05", 0x4ab4c8e9697c3558),
+    ("flat-grid/d2/r4x4/eps0.7", 0x7a930bae264ac03c),
+    ("flat-grid/d2/r4x4/eps4", 0x7ee06f86350c9ef4),
+    ("flat-grid/d2/r3x5/eps0.05", 0x3bef739f17123673),
+    ("flat-grid/d2/r3x5/eps0.7", 0xf5421f9f7348f867),
+    ("flat-grid/d2/r3x5/eps4", 0xfccf77d527962197),
+    ("flat-grid/d2/r8x1/eps0.05", 0xd6a00f33954f8c28),
+    ("flat-grid/d2/r8x1/eps0.7", 0x895ad795f9d3ae0c),
+    ("flat-grid/d2/r8x1/eps4", 0x025e50029d4337f4),
+    ("flat-grid/d2/r16x16/eps0.05", 0x7c319f7351d9c251),
+    ("flat-grid/d2/r16x16/eps0.7", 0xe2ade23dd8c49f79),
+    ("flat-grid/d2/r16x16/eps4", 0x8ee5e91c5d4af52d),
+    ("flat-grid/d3/r2x3x4/eps0.05", 0x8c163a2cd6fe40e3),
+    ("flat-grid/d3/r2x3x4/eps0.7", 0x025e91673066abff),
+    ("flat-grid/d3/r2x3x4/eps4", 0xdec3660628130d3f),
+    ("flat-grid/d3/r4x4x4/eps0.05", 0xab244eb8436dbc20),
+    ("flat-grid/d3/r4x4x4/eps0.7", 0x07e706408ef161ac),
+    ("flat-grid/d3/r4x4x4/eps4", 0x0b6cb5de6a96401c),
+    ("flat-grid/d3/r8x8x8/eps0.05", 0xb138d2e7c4a8d3bc),
+    ("flat-grid/d3/r8x8x8/eps0.7", 0x6de9316379664ef4),
+    ("flat-grid/d3/r8x8x8/eps4", 0x17909d41f42b4ce0),
+    ("flat-grid/d4/r2x2x2x2/eps0.05", 0x6d01a050d294cddd),
+    ("flat-grid/d4/r2x2x2x2/eps0.7", 0x7155e88335c7ffa9),
+    ("flat-grid/d4/r2x2x2x2/eps4", 0x6eed6663d8ecada9),
+    ("flat-grid/d4/r3x1x2x4/eps0.05", 0x8c79dbf7bbbb21ff),
+    ("flat-grid/d4/r3x1x2x4/eps0.7", 0xaf0958b759023163),
+    ("flat-grid/d4/r3x1x2x4/eps4", 0x45d8b99b569a429f),
+    ("flat-grid/d4/r4x4x4x4/eps0.05", 0x1825b65e9cc23180),
+    ("flat-grid/d4/r4x4x4x4/eps0.7", 0x8e6d3b3d3ede2dbc),
+    ("flat-grid/d4/r4x4x4x4/eps4", 0x0982e4c2558eee2c),
+];
+
+/// Range counts and FNV folds of Figure 4's 1-D cell medians, captured
+/// while they were read through `CellGrid1D::median_in`.
+const GOLDEN_FIG4_CELL: &[(&str, usize, u64)] = &[
+    ("fig4-cell/n32768/d12/seed7", 8144, 0xeab10bd8ca33756d),
+    ("fig4-cell/n32768/d12/seed8", 8150, 0x46b79ca7f87a334d),
+    ("fig4-cell/n32768/d12/seed2012", 8149, 0x5f9dc0351edafc8e),
+    ("fig4-cell/n1048576/d9/seed2012", 1023, 0xdde26fc6fdeca5ad),
 ];

@@ -241,7 +241,7 @@ fn every_backend_answers_through_the_trait() {
         ("kd-standard", Box::new(tree)),
         (
             "flat-grid",
-            Box::new(FlatGrid::build(&points, TIGER_DOMAIN, 64, 64, 1.0, 25).unwrap()),
+            Box::new(FlatGrid::build(&points, TIGER_DOMAIN, [64, 64], 1.0, 25).unwrap()),
         ),
         (
             "exact-index",

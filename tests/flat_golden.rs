@@ -499,6 +499,18 @@ fn both_formats_reject_each_corruption_alike() {
             tamper(eps_count + 8, &f64le(1e-200)),
             "cannot weigh OLS",
         ),
+        (
+            "post-processed with level budgets whose OLS sums could overflow",
+            edit_json(&json, "eps_count", 0, |a| set_element(a, 1, "1e153")),
+            tamper(eps_count + 8, &f64le(1e153)),
+            "too large for OLS",
+        ),
+        (
+            "level budgets spending more than the declared epsilon",
+            edit_json(&json, "eps_count", 0, |a| set_element(a, 1, "3.0")),
+            tamper(eps_count + 8, &f64le(3.0)),
+            "more than the declared epsilon 2",
+        ),
     ];
     for (label, text, blob, needle) in cases {
         assert_ne!(text, json, "{label}: the JSON edit changed nothing");

@@ -93,7 +93,7 @@ fn check_all_backends_at_dim<const D: usize>(seed: u64) {
         .build(&points)
         .unwrap();
     assert_parallel_parity("quadtree", &quad, &queries);
-    let grid = FlatGrid::<D>::build_nd(&points, domain, [8; D], 0.5, seed).unwrap();
+    let grid = FlatGrid::<D>::build(&points, domain, [8; D], 0.5, seed).unwrap();
     assert_parallel_parity("flat-grid", &grid, &queries);
     let index = ExactIndex::<D>::build(&points, domain, 16).unwrap();
     assert_parallel_parity("exact-index", &index, &queries);
@@ -125,7 +125,7 @@ fn parallel_parity_through_sync_trait_objects() {
                 .build(&points)
                 .unwrap(),
         ),
-        Box::new(FlatGrid::build(&points, domain(), 16, 16, 0.5, 9).unwrap()),
+        Box::new(FlatGrid::build(&points, domain(), [16, 16], 0.5, 9).unwrap()),
     ];
     for backend in &backends {
         assert_parallel_parity("dyn", backend.as_ref(), &queries);

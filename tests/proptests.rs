@@ -197,7 +197,7 @@ proptest! {
             Box::new(tree),
             Box::new(PsdConfig::quadtree(domain(), 3, 0.5).with_seed(seed).build(&pts).unwrap()),
             Box::new(PsdConfig::hilbert_r(domain(), 3, 0.5).with_hilbert_order(8).with_seed(seed).build(&pts).unwrap()),
-            Box::new(FlatGrid::build(&pts, domain(), 16, 16, 0.5, seed).unwrap()),
+            Box::new(FlatGrid::build(&pts, domain(), [16, 16], 0.5, seed).unwrap()),
             Box::new(ExactIndex::build(&pts, domain(), 32).unwrap()),
         ];
         for backend in &backends {

@@ -7,6 +7,10 @@
 #       <out_dir>/BENCH_<name>.json. With <manifest>, builds and runs
 #       those of the checkout whose Cargo.toml that is (for example a
 #       baseline worktree).
+#   ci/bench_all.sh loadgen <name> <out_dir>
+#       Runs the one loadgen mode named <name> in LOADGEN and writes
+#       <out_dir>/BENCH_<name>.json (bench-smoke and stream-soak run
+#       their modes this way, so each mode's flags are written once).
 #   ci/bench_all.sh diff <baseline_dir> <candidate_dir>
 #       Runs ci/compare_bench.sh over each pair of reports and fails if
 #       any regressed past its 15% median gate.
@@ -29,8 +33,19 @@ REPORTS=("${BENCHES[@]}" "${LOADGEN[@]%%:*}")
 
 usage() {
   echo "usage: $0 run <out_dir> [<manifest>]" >&2
+  echo "       $0 loadgen <name> <out_dir>" >&2
   echo "       $0 diff <baseline_dir> <candidate_dir>" >&2
   exit 2
+}
+
+# run_loadgen <entry> <absolute out_dir> [<cargo args>...]: runs one
+# LOADGEN entry.
+run_loadgen() {
+  local run=$1 out=$2
+  shift 2
+  read -ra args <<< "${run#*:}"
+  cargo run --release "$@" -p dpsd-serve --bin loadgen -- \
+    "${args[@]}" --json "$out/BENCH_${run%%:*}.json"
 }
 
 case "${1:-}" in
@@ -48,10 +63,20 @@ case "${1:-}" in
         cargo bench "${manifest[@]}" -p dpsd-bench --bench "$bench"
     done
     for run in "${LOADGEN[@]}"; do
-      read -ra args <<< "${run#*:}"
-      cargo run --release "${manifest[@]}" -p dpsd-serve --bin loadgen -- \
-        "${args[@]}" --json "$out/BENCH_${run%%:*}.json"
+      run_loadgen "$run" "$out" "${manifest[@]}"
     done
+    ;;
+  loadgen)
+    [ "$#" -eq 3 ] || usage
+    for run in "${LOADGEN[@]}"; do
+      if [ "${run%%:*}" = "$2" ]; then
+        mkdir -p "$3"
+        run_loadgen "$run" "$(cd "$3" && pwd)"
+        exit 0
+      fi
+    done
+    echo "unknown loadgen mode '$2'; one of: ${LOADGEN[*]%%:*}" >&2
+    exit 2
     ;;
   diff)
     [ "$#" -eq 3 ] || usage

@@ -21,6 +21,7 @@ use dpsd_core::median::CellGridNd;
 use dpsd_core::query::QueryProfile;
 use dpsd_core::rng::seeded;
 use dpsd_core::synopsis::SpatialSynopsis;
+use dpsd_core::tree::BuildError;
 
 /// A flat differentially private grid release over a `D`-dimensional
 /// domain (`D = 2` when elided).
@@ -33,7 +34,9 @@ pub struct FlatGrid<const D: usize = 2> {
 impl<const D: usize> FlatGrid<D> {
     /// Builds the release: the exact cell histogram over
     /// `res[0] x … x res[D-1]` cells plus `Lap(1/eps)` per cell. Points
-    /// outside `domain` are not counted.
+    /// outside `domain` are not counted. The grid's own checks refuse a
+    /// bad `res`, `domain` or `eps`, each as
+    /// [`DpsdError::InvalidParameter`] naming that argument.
     pub fn build(
         points: &[Point<D>],
         domain: Rect<D>,
@@ -41,38 +44,15 @@ impl<const D: usize> FlatGrid<D> {
         eps: f64,
         seed: u64,
     ) -> Result<Self, DpsdError> {
-        if D == 0 || res.contains(&0) {
-            return Err(DpsdError::invalid_parameter(
-                "resolution",
-                format!("grid needs at least one cell per axis, got {res:?}"),
-            ));
-        }
-        if domain.area() <= 0.0 {
-            return Err(DpsdError::invalid_parameter(
-                "domain",
-                "must have positive volume",
-            ));
-        }
-        if !(eps > 0.0 && eps.is_finite()) {
-            return Err(DpsdError::invalid_parameter(
-                "epsilon",
-                format!("must be positive and finite, got {eps}"),
-            ));
-        }
-        if res
-            .iter()
-            .try_fold(1usize, |acc, &r| acc.checked_mul(r))
-            .is_none()
-        {
-            return Err(DpsdError::invalid_parameter(
-                "resolution",
-                format!("cell count overflows: {res:?}"),
-            ));
-        }
-        Ok(FlatGrid {
-            grid: CellGridNd::build(&mut seeded(seed), points, domain, res, eps),
-            epsilon: eps,
-        })
+        let grid = CellGridNd::build(&mut seeded(seed), points, domain, res, eps).map_err(|e| {
+            let param = match e {
+                BuildError::InvalidGridResolution => "resolution",
+                BuildError::DegenerateDomain { .. } => "domain",
+                _ => "epsilon",
+            };
+            DpsdError::invalid_parameter(param, e.to_string())
+        })?;
+        Ok(FlatGrid { grid, epsilon: eps })
     }
 
     /// Sums the overlapped cells' raw noisy counts, each weighted by
@@ -214,6 +194,26 @@ mod tests {
             FlatGrid::build(&[], cube, [4, 0, 4], 1.0, 0),
             Err(DpsdError::InvalidParameter { .. })
         ));
+    }
+
+    #[test]
+    fn oversized_grids_are_refused_not_allocated() {
+        // 2^40 cells: the grid's cap refuses it before any allocation.
+        let domain = Rect::new(0.0, 0.0, 1.0, 1.0).unwrap();
+        match FlatGrid::build(&[], domain, [1 << 20, 1 << 20], 1.0, 0) {
+            Err(DpsdError::InvalidParameter { param, .. }) => assert_eq!(param, "resolution"),
+            other => panic!("{:?}", other.map(|g| g.node_count())),
+        }
+    }
+
+    #[test]
+    fn epsilons_that_cannot_be_noised_are_refused() {
+        // A Laplace scale `1 / eps` that overflows is refused, not drawn.
+        let domain = Rect::new(0.0, 0.0, 1.0, 1.0).unwrap();
+        match FlatGrid::build(&[], domain, [4, 4], 1e-310, 0) {
+            Err(DpsdError::InvalidParameter { param, .. }) => assert_eq!(param, "epsilon"),
+            other => panic!("{:?}", other.map(|g| g.node_count())),
+        }
     }
 
     #[test]

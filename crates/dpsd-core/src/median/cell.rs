@@ -15,7 +15,15 @@
 
 use crate::geometry::{Point, Rect};
 use crate::mech::laplace::laplace_mechanism;
+use crate::tree::{noisable, BuildError};
 use rand::Rng;
+
+/// Maximum total cell count of a noisy grid. Per-axis resolutions
+/// multiply across dimensions, so a planar default like `(256, 256)`
+/// would silently become billions of cells at `D = 4`; past this cap
+/// a grid is refused with [`BuildError::InvalidGridResolution`] instead
+/// of exhausting memory.
+pub(crate) const MAX_GRID_CELLS: usize = 1 << 27;
 
 /// A `D`-dimensional noisy grid over a box: the `kd-cell` tree reads it
 /// to choose splits and to test node uniformity, Figure 4 reads 1-D
@@ -35,32 +43,44 @@ pub struct CellGridNd<const D: usize> {
 }
 
 impl<const D: usize> CellGridNd<D> {
+    /// The total cell count of a `res` grid, refused as
+    /// [`BuildError::InvalidGridResolution`] when there is no axis, an
+    /// axis has zero cells, or the total passes [`MAX_GRID_CELLS`].
+    pub(crate) fn cell_count(res: [usize; D]) -> Result<usize, BuildError> {
+        match res.iter().try_fold(1usize, |acc, &n| acc.checked_mul(n)) {
+            Some(cells) if D > 0 && (1..=MAX_GRID_CELLS).contains(&cells) => Ok(cells),
+            _ => Err(BuildError::InvalidGridResolution),
+        }
+    }
+
     /// Builds the grid: the exact histogram of the points inside `rect`
     /// (closed edges; a point on the upper edge falls in the last cell)
     /// plus `Lap(1/eps)` noise per cell.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if any axis has zero cells, the box has zero volume,
-    /// `eps <= 0`, or the total cell count overflows `usize`.
+    /// [`BuildError::InvalidGridResolution`] if an axis has zero cells
+    /// or the grid would have more than 2^27 cells,
+    /// [`BuildError::DegenerateDomain`] if the box has zero volume, and
+    /// [`BuildError::InvalidEpsilon`] if `eps` cannot be noised: it is
+    /// not positive, or its square is not a normal `f64`.
     pub fn build<R: Rng + ?Sized>(
         rng: &mut R,
         points: &[Point<D>],
         rect: Rect<D>,
         res: [usize; D],
         eps: f64,
-    ) -> Self {
-        assert!(
-            res.iter().all(|&n| n > 0),
-            "grid needs at least one cell per axis"
-        );
-        assert!(rect.area() > 0.0, "grid box must have positive volume");
-        assert!(eps > 0.0, "eps must be positive, got {eps}");
-        let cells = res
-            .iter()
-            .try_fold(1usize, |acc, &n| acc.checked_mul(n))
-            // dpsd-allow(no-panic-in-lib): deliberate assert-with-message on a caller contract (grid resolution), kept as checked_mul so the failure is loud, not wrapped
-            .expect("grid cell count overflows usize");
+    ) -> Result<Self, BuildError> {
+        let cells = Self::cell_count(res)?;
+        if rect.area() <= 0.0 {
+            return Err(BuildError::DegenerateDomain {
+                min: rect.min.to_vec(),
+                max: rect.max.to_vec(),
+            });
+        }
+        if !noisable(eps) {
+            return Err(BuildError::InvalidEpsilon(eps));
+        }
         let mut counts = vec![0.0f64; cells];
         for p in points {
             if !rect.contains(*p) {
@@ -79,7 +99,7 @@ impl<const D: usize> CellGridNd<D> {
         for c in counts.iter_mut() {
             *c = laplace_mechanism(rng, *c, 1.0, eps);
         }
-        CellGridNd { rect, res, counts }
+        Ok(CellGridNd { rect, res, counts })
     }
 
     /// Grid resolution per axis.
@@ -245,7 +265,7 @@ mod tests {
         let points: Vec<Point> = (0..40_000)
             .map(|i| Point::new((i % 200) as f64 / 2.0, ((i / 200) % 200) as f64 / 2.0))
             .collect();
-        let grid = CellGridNd::<2>::build(&mut rng, &points, rect, [64, 64], 1.0);
+        let grid = CellGridNd::<2>::build(&mut rng, &points, rect, [64, 64], 1.0).unwrap();
         let mx = grid.median_along(0, &rect);
         let my = grid.median_along(1, &rect);
         assert!((mx - 50.0).abs() < 5.0, "x median {mx}");
@@ -268,8 +288,8 @@ mod tests {
         let clustered: Vec<Point> = (0..16_384)
             .map(|i| Point::new(1.0 + (i % 7) as f64 * 0.1, 1.0 + (i % 5) as f64 * 0.1))
             .collect();
-        let g_u = CellGridNd::<2>::build(&mut rng, &uniform, rect, [16, 16], 5.0);
-        let g_c = CellGridNd::<2>::build(&mut rng, &clustered, rect, [16, 16], 5.0);
+        let g_u = CellGridNd::<2>::build(&mut rng, &uniform, rect, [16, 16], 5.0).unwrap();
+        let g_c = CellGridNd::<2>::build(&mut rng, &clustered, rect, [16, 16], 5.0).unwrap();
         let s_u = g_u.uniformity_score(&rect);
         let s_c = g_c.uniformity_score(&rect);
         assert!(
@@ -287,7 +307,7 @@ mod tests {
         let points: Vec<Point> = (0..10_000)
             .map(|i| Point::new((i % 100) as f64, 50.0))
             .collect();
-        let grid = CellGridNd::<2>::build(&mut rng, &points, rect, [50, 50], 2.0);
+        let grid = CellGridNd::<2>::build(&mut rng, &points, rect, [50, 50], 2.0).unwrap();
         let sub = Rect::new(0.0, 0.0, 40.0, 100.0).unwrap();
         let med = grid.median_along(0, &sub);
         assert!((0.0..=40.0).contains(&med), "median {med} inside subregion");
@@ -297,7 +317,7 @@ mod tests {
     fn grid2d_disjoint_region_is_empty() {
         let mut rng = seeded(47);
         let rect = Rect::new(0.0, 0.0, 10.0, 10.0).unwrap();
-        let grid = CellGridNd::<2>::build(&mut rng, &[], rect, [4, 4], 1.0);
+        let grid = CellGridNd::<2>::build(&mut rng, &[], rect, [4, 4], 1.0).unwrap();
         let far = Rect::new(100.0, 100.0, 200.0, 200.0).unwrap();
         assert_eq!(grid.noisy_count_in(&far), 0.0);
         assert_eq!(grid.uniformity_score(&far), 0.0);
@@ -313,7 +333,7 @@ mod tests {
             .map(|i| Point::new((i % 200) as f64 / 2.0, ((i / 200) % 200) as f64 / 2.0))
             .collect();
         let mut rng = seeded(48);
-        let grid = CellGridNd::<2>::build(&mut rng, &points, rect, [32, 24], 0.5);
+        let grid = CellGridNd::<2>::build(&mut rng, &points, rect, [32, 24], 0.5).unwrap();
         assert_eq!(grid.resolution(), [32, 24]);
         assert_eq!(grid.rect(), &rect);
         let sub = Rect::new(10.3, 20.7, 70.1, 90.9).unwrap();
@@ -370,7 +390,7 @@ mod tests {
                 ])
             })
             .collect();
-        let grid = CellGridNd::<3>::build(&mut rng, &points, rect, [16, 16, 16], 2.0);
+        let grid = CellGridNd::<3>::build(&mut rng, &points, rect, [16, 16, 16], 2.0).unwrap();
         let count = grid.noisy_count_in(&rect);
         assert!((count - 32_768.0).abs() < 3_000.0, "count {count}");
         for axis in 0..3 {
@@ -399,8 +419,8 @@ mod tests {
         let clustered: Vec<Point<3>> = (0..8_000)
             .map(|i| Point::from_coords([1.0 + (i % 5) as f64 * 0.1, 1.5, 2.0]))
             .collect();
-        let g_u = CellGridNd::<3>::build(&mut rng, &uniform, rect, [8, 8, 8], 5.0);
-        let g_c = CellGridNd::<3>::build(&mut rng, &clustered, rect, [8, 8, 8], 5.0);
+        let g_u = CellGridNd::<3>::build(&mut rng, &uniform, rect, [8, 8, 8], 5.0).unwrap();
+        let g_c = CellGridNd::<3>::build(&mut rng, &clustered, rect, [8, 8, 8], 5.0).unwrap();
         let s_u = g_u.uniformity_score(&rect);
         let s_c = g_c.uniformity_score(&rect);
         assert!(
@@ -414,7 +434,7 @@ mod tests {
     fn gridnd_empty_and_disjoint_regions() {
         let mut rng = seeded(52);
         let rect = Rect::from_corners([0.0; 3], [10.0; 3]).unwrap();
-        let grid = CellGridNd::<3>::build(&mut rng, &[], rect, [4, 4, 4], 1.0);
+        let grid = CellGridNd::<3>::build(&mut rng, &[], rect, [4, 4, 4], 1.0).unwrap();
         let far = Rect::from_corners([100.0; 3], [200.0; 3]).unwrap();
         assert_eq!(grid.noisy_count_in(&far), 0.0);
         assert_eq!(grid.uniformity_score(&far), 0.0);
@@ -428,7 +448,7 @@ mod tests {
         let points: Vec<Point<1>> = (0..100_000)
             .map(|i| Point::from_coords([(i as f64) / 100.0]))
             .collect();
-        let grid = CellGridNd::<1>::build(&mut rng, &points, rect, [256], 1.0);
+        let grid = CellGridNd::<1>::build(&mut rng, &points, rect, [256], 1.0).unwrap();
         let med = grid.median_along(0, &rect);
         assert!((med - 500.0).abs() < 20.0, "median {med}");
         // A subrange starting past the first cell reads its own median.
@@ -441,10 +461,28 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one cell")]
-    fn gridnd_zero_resolution_rejected() {
+    fn gridnd_bad_inputs_are_typed_errors() {
         let mut rng = seeded(0);
         let rect = Rect::from_corners([0.0; 3], [1.0; 3]).unwrap();
-        let _ = CellGridNd::<3>::build(&mut rng, &[], rect, [4, 0, 4], 1.0);
+        let flat = Rect::from_corners([0.0; 3], [1.0, 0.0, 1.0]).unwrap();
+        let mut build = |rect, res, eps| CellGridNd::<3>::build(&mut rng, &[], rect, res, eps);
+        for res in [[4, 0, 4], [1 << 9, 1 << 9, 1 << 10], [usize::MAX, 2, 1]] {
+            assert_eq!(
+                build(rect, res, 1.0).unwrap_err(),
+                BuildError::InvalidGridResolution
+            );
+        }
+        assert!(matches!(
+            build(flat, [4; 3], 1.0),
+            Err(BuildError::DegenerateDomain { .. })
+        ));
+        for eps in [0.0, -1.0, f64::NAN, f64::INFINITY, 1e-310, 1e155] {
+            match build(rect, [4; 3], eps) {
+                Err(BuildError::InvalidEpsilon(e)) => assert_eq!(e.to_bits(), eps.to_bits()),
+                other => panic!("eps {eps}: {:?}", other.map(|g| g.resolution())),
+            }
+        }
+        // The cap itself is allowed.
+        assert_eq!(CellGridNd::<3>::cell_count([1 << 9; 3]), Ok(MAX_GRID_CELLS));
     }
 }

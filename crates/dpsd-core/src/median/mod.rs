@@ -27,6 +27,7 @@ mod noisy_mean;
 mod smooth;
 
 pub use cell::CellGridNd;
+pub(crate) use cell::MAX_GRID_CELLS;
 pub use exponential::exponential_median;
 pub use noisy_mean::noisy_mean_split;
 pub use smooth::{smooth_sensitivity_median, smooth_sensitivity_sigma, smoothing_xi};

@@ -4,12 +4,12 @@
 //! all points are present up front, [`crate::tree::PsdConfig::build`]
 //! runs once, and the resulting synopsis is published once. This module
 //! adds the streaming counterpart for the **data-independent midpoint
-//! family** ([`TreeKind::Quadtree`] — quadtree / octree / `2^D`-ary):
-//! points arrive one at a time, are absorbed into per-node counters
-//! (plus a succinct [`CountMinSketch`] for monitoring), and an epoch
-//! scheduler periodically materializes a fresh [`ReleasedSynopsis`]
-//! under a managed epsilon schedule debited through the
-//! [`crate::budget`] accountant's [`EpsilonLedger`].
+//! family** ([`crate::tree::TreeKind::Quadtree`] — quadtree / octree /
+//! `2^D`-ary): points arrive one at a time, are absorbed into per-node
+//! counters (plus a succinct [`CountMinSketch`] for monitoring), and an
+//! epoch scheduler periodically materializes a fresh
+//! [`ReleasedSynopsis`] under a managed epsilon schedule debited through
+//! the [`crate::budget`] accountant's [`EpsilonLedger`].
 //!
 //! # Why the midpoint family
 //!
@@ -41,9 +41,9 @@
 //! and runs the batch build's own tail — noise pass, tree columns, OLS
 //! — over the counters, which stand in for the structure stage. The
 //! node boxes are the batch boxes because [`StreamIngestor::new`] cuts
-//! them with the batch builder's own point-partition recursion, run over
-//! no points. The counters equal the batch exact counts because the
-//! descent predicate here ([`Rect::orthant_of`]: `>= midpoint` goes to
+//! them at midpoints with the batch builder's own structure recursion,
+//! run over no points. The counters equal the batch exact counts because
+//! the descent predicate here ([`Rect::orthant_of`]: `>= midpoint` goes to
 //! the upper child, axis 0 most significant) is the same comparison the
 //! batch partitioner uses, and the tail starts from the batch generator
 //! state because the quadtree structure draws no randomness. Epoch
@@ -105,8 +105,7 @@ use crate::error::DpsdError;
 use crate::geometry::{Point, Rect};
 use crate::rng::seeded;
 use crate::tree::{
-    complete_tree_nodes_checked, split_points, BuildError, LevelBudgets, PsdConfig,
-    ReleasedSynopsis, TreeKind,
+    complete_tree_nodes_checked, split_tree, BuildError, LevelBudgets, PsdConfig, ReleasedSynopsis,
 };
 use std::collections::HashMap;
 
@@ -360,39 +359,28 @@ pub struct StreamIngestor<const D: usize> {
 }
 
 impl<const D: usize> StreamIngestor<D> {
-    /// Creates an ingestor; validates the geometry, height, schedule,
-    /// and budget cap with the same error kinds as the batch builder,
-    /// and refuses a schedule whose first epoch the batch builder's
-    /// budgets would refuse (an epsilon that cannot be noised or
-    /// weighed), so such a stream is never created.
+    /// Creates an ingestor; validates the geometry and height with the
+    /// batch builder's own checks (plus the stream's tighter node cap),
+    /// then the schedule and budget cap, and refuses a schedule whose
+    /// first epoch the batch builder's budgets would refuse (an epsilon
+    /// that cannot be noised or weighed), so such a stream is never
+    /// created.
     pub fn new(config: StreamConfig<D>) -> Result<Self, DpsdError> {
-        if D == 0 {
-            return Err(BuildError::UnsupportedDimension {
-                kind: TreeKind::Quadtree,
-                dims: D,
+        // The batch builder's own checks name the dimension, the domain
+        // and the batch node cap; the stream keeps its nodes resident,
+        // so it caps them tighter.
+        let first = batch_config_for(&config, 0);
+        first.validate(&[])?;
+        let m = complete_tree_nodes_checked(1 << D, config.height).unwrap_or(usize::MAX);
+        if m > MAX_STREAM_NODES {
+            return Err(BuildError::TooManyNodes {
+                height: config.height,
+                nodes: m,
             }
             .into());
         }
-        if config.domain.area() <= 0.0 {
-            return Err(BuildError::DegenerateDomain {
-                min: config.domain.min.to_vec(),
-                max: config.domain.max.to_vec(),
-            }
-            .into());
-        }
-        let fanout = 1usize << D;
-        let m = match complete_tree_nodes_checked(fanout, config.height) {
-            Some(m) if m <= MAX_STREAM_NODES => m,
-            got => {
-                return Err(BuildError::TooManyNodes {
-                    height: config.height,
-                    nodes: got.unwrap_or(usize::MAX),
-                }
-                .into())
-            }
-        };
         config.schedule.validate()?;
-        batch_config_for(&config, 0).budgets()?;
+        first.budgets()?;
         if let Some(w) = config.window {
             if !(1..=MAX_WINDOW_EPOCHS).contains(&w) {
                 return Err(DpsdError::invalid_parameter(
@@ -425,16 +413,17 @@ impl<const D: usize> StreamIngestor<D> {
         // Midpoint geometry is fixed up front: the batch builder's own
         // recursion, run over no points, cuts the same boxes.
         let mut rects = vec![config.domain; m];
-        split_points(
+        split_tree::<D, _>(
             config.height,
             0,
             0,
-            config.domain,
-            &mut [],
-            &mut rects,
-            &mut vec![0.0; m],
+            (config.domain, 0, 0),
             &mut Vec::new(),
-            &mut |axis, r| r.midpoint(axis),
+            &mut |v, _, (r, _, _)| rects[v] = r,
+            &mut |_, axis, (r, _, _)| {
+                let (r_lo, r_hi) = r.split_at(axis, r.midpoint(axis));
+                (r_lo, r_hi, 0)
+            },
         );
         let sketch = CountMinSketch::new(SKETCH_WIDTH, SKETCH_DEPTH, config.seed);
         let buckets = match config.window {

@@ -20,22 +20,28 @@
 //!    pieces, so parallel composition keeps the per-level spend at
 //!    `eps_median[i]` (Section 6.2).
 //!
-//!    Private-median levels sort each axis once per build: one sorted
-//!    `f64` value column and one `u32` point-index column per axis
-//!    (12 bytes per point per axis, plus a side bit and a 12-byte spill
-//!    slot for half the points: 30.1 bytes per point at `D = 2`, 32 at
-//!    peak while the columns are sorted). Every node owns the same range
-//!    of every column, so a split stage hands the median mechanism a
-//!    sorted slice without copying or sorting it, and splitting stably
-//!    partitions the other columns. Hilbert-R sorts its curve indices
-//!    once the same way.
+//!    Every family runs one structure recursion ([`split_tree`]): it
+//!    visits a node, cuts the node's piece along each axis in turn with
+//!    the family's cut, and descends into the `2^D` children in index
+//!    order, so every split value is what a cut returns. A piece is a
+//!    bound (a box, or Hilbert-R's curve-index range) and a range in one
+//!    of three stores, which the cuts partition:
 //!
-//!    Every other level runs one point-partition recursion
-//!    ([`split_points`]), which never sorts: it cuts each piece at the
-//!    value a rule names and partitions a point buffer in place. Midpoint
-//!    levels (the quadtree, and a hybrid below its switch) pass the
-//!    midpoint, kd-cell passes its grid rule, and the stream cuts its
-//!    boxes by running it over no points.
+//!    - a point buffer ([`split_points`]), which is never sorted: the
+//!      quadtree and a hybrid that switches at the root cut it at
+//!      midpoints, and kd-cell at its grid rule;
+//!    - the [`SortedColumns`] of a build with median levels: each axis
+//!      sorted once per build into one `f64` value column and one `u32`
+//!      point-index column (12 bytes per point per axis, plus a side bit
+//!      and a 12-byte spill slot for half the points: 30.1 bytes per
+//!      point at `D = 2`, 32 at peak while the columns are sorted).
+//!      Every node owns the same range of every column, so a split stage
+//!      hands the median mechanism a sorted slice without copying or
+//!      sorting it, and splitting stably partitions the other columns.
+//!      A hybrid's midpoint levels cut the same columns;
+//!    - Hilbert-R's curve indices, sorted once the same way.
+//!
+//!    The stream cuts its boxes by running the recursion over no points.
 //! 2. **Counts**: each node's exact count is perturbed with
 //!    `Lap(1 / eps_count[level])`; levels with zero budget withhold
 //!    their counts entirely (Section 4.2's "conserve the budget"). A
@@ -59,20 +65,13 @@ use crate::error::DpsdError;
 use crate::geometry::{Point, Rect};
 use crate::mech::laplace::laplace_mechanism;
 use crate::mech::sampling::SamplingPlan;
-use crate::median::{MedianConfig, MedianSelector};
+use crate::median::{CellGridNd, MedianConfig, MedianSelector, MAX_GRID_CELLS};
 use crate::postprocess::ols_fits;
 use crate::rng::seeded;
 use crate::tree::{complete_tree_nodes_checked, PsdTree, MAX_NODES};
 use dpsd_hilbert::CurveKind;
 use rand::rngs::StdRng;
 use std::fmt;
-
-/// Maximum total cell count of a `KdCell` split grid. Per-axis
-/// resolutions multiply across dimensions, so a planar default like
-/// `(256, 256)` would silently become billions of cells at `D = 4`;
-/// past this cap the build fails with
-/// [`BuildError::InvalidGridResolution`] instead of exhausting memory.
-const MAX_GRID_CELLS: usize = 1 << 27;
 
 /// Largest `order * D` for Hilbert R-tree builds: curve indices feed
 /// the median mechanisms as `f64`, which is exact up to 52 bits.
@@ -190,9 +189,10 @@ impl fmt::Display for TreeKind {
     }
 }
 
-/// Errors from [`PsdConfig::build`]. Geometry payloads are
-/// dimension-erased (`Vec<f64>` corners/coordinates) so the one error
-/// type serves every `D`.
+/// Errors from [`PsdConfig::build`], and from [`CellGridNd::build`],
+/// which names a bad grid, box or epsilon with the same kinds. Geometry
+/// payloads are dimension-erased (`Vec<f64>` corners/coordinates) so the
+/// one error type serves every `D`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BuildError {
     /// The domain box has zero volume.
@@ -217,7 +217,8 @@ pub enum BuildError {
     /// Hybrid switch level exceeds the height.
     InvalidSwitchLevel { switch_levels: usize, height: usize },
     /// Cell grid resolution invalid: an axis with zero cells, or a
-    /// total cell count past the allocation cap.
+    /// total cell count past the allocation cap (also refused by
+    /// [`CellGridNd::build`]).
     InvalidGridResolution,
     /// Hilbert order invalid for the dimension: the order must be at
     /// least 1 and `order * D` at most 52, so curve indices stay exact
@@ -651,7 +652,10 @@ impl<const D: usize> PsdConfig<D> {
         tree
     }
 
-    fn validate(&self, points: &[Point<D>]) -> Result<(), BuildError> {
+    /// The structural checks, each a [`BuildError`] in this order:
+    /// dimension, domain, node count, switch level, grid, curve order,
+    /// then the first point outside the domain.
+    pub(crate) fn validate(&self, points: &[Point<D>]) -> Result<(), BuildError> {
         if D == 0 {
             return Err(BuildError::UnsupportedDimension {
                 kind: self.kind,
@@ -680,14 +684,7 @@ impl<const D: usize> PsdConfig<D> {
             });
         }
         if self.kind == TreeKind::KdCell {
-            let cells = self
-                .grid_resolution_nd()
-                .iter()
-                .try_fold(1usize, |acc, &n| acc.checked_mul(n));
-            match cells {
-                Some(c) if (1..=MAX_GRID_CELLS).contains(&c) => {}
-                _ => return Err(BuildError::InvalidGridResolution),
-            }
+            CellGridNd::<D>::cell_count(self.grid_resolution_nd())?;
         }
         if self.kind == TreeKind::HilbertR
             && (self.hilbert_order == 0 || self.hilbert_order as usize * D > MAX_HILBERT_INDEX_BITS)
@@ -718,9 +715,9 @@ pub(crate) struct LevelBudgets {
     median_total: f64,
 }
 
-/// The `(box, start, len)` pieces a node is cut into: a box and its
-/// range in the node's point slice (or in every sorted column).
-type Piece<const D: usize> = (Rect<D>, usize, usize);
+/// A piece of a node: its bound (a box, or Hilbert-R's curve-index
+/// range) and its `(start, len)` range in the store the cuts partition.
+pub(crate) type Piece<B> = (B, usize, usize);
 
 /// Builds the structure of axis-splitting trees (midpoint and kd
 /// variants).
@@ -734,16 +731,16 @@ type Piece<const D: usize> = (Rect<D>, usize, usize);
 /// halved between the two stages, and the identical RNG consumption
 /// order.
 ///
-/// Median levels run over [`SortedColumns`], which sort each axis once
-/// for the whole build, so a split stage hands the selector its piece's
-/// values as an already-sorted slice. The selector sees the same
-/// sequence a per-node sort would give, because a `total_cmp` sort is
-/// fixed by the multiset of values, and it is called in the same
-/// depth-first order. Midpoint levels (the whole quadtree, and a hybrid
-/// below `switch_levels`) run [`split_points`] with the midpoint rule,
-/// the recursion kd-cell's grid splits also use: a quadtree copies the
-/// points once, and a hybrid gathers each switch-level subtree's points
-/// into one reused buffer.
+/// A build with median levels runs over [`SortedColumns`], which sort
+/// each axis once for the whole build, so a split stage hands the
+/// selector its piece's values as an already-sorted slice. The selector
+/// sees the same sequence a per-node sort would give, because a
+/// `total_cmp` sort is fixed by the multiset of values, and it is called
+/// in the same depth-first order. Below a hybrid's `switch_levels` the
+/// same cut takes the midpoint and partitions the same columns, which
+/// draws no randomness. A build without median levels (the quadtree,
+/// and a hybrid that switches at the root) never sorts: it runs
+/// [`split_points`] with the midpoint rule over one copy of the points.
 fn build_axis_split_structure<const D: usize>(
     config: &PsdConfig<D>,
     eps_median: &[f64],
@@ -759,186 +756,132 @@ fn build_axis_split_structure<const D: usize>(
         TreeKind::KdHybrid => config.switch_levels.min(config.height),
         _ => 0,
     };
-    let mut pool = Vec::new();
     if median_depths == 0 {
-        let mut buf = points.to_vec();
         split_points(
             config.height,
-            0,
-            0,
             config.domain,
-            &mut buf,
+            &mut points.to_vec(),
             rects,
             true_counts,
-            &mut pool,
-            &mut |axis, r| r.midpoint(axis),
+            |axis, r| r.midpoint(axis),
         );
         return Ok(());
     }
-    MedianSplits {
-        config,
-        eps_median,
-        median_depths,
-        points,
-        cols: SortedColumns::new(points)?,
-        rects,
-        true_counts,
-        rng,
-        pool,
-        buf: Vec::new(),
-    }
-    .split(0, 0, config.domain, 0, points.len());
+    let mut cols = SortedColumns::new(points)?;
+    // kd-pure / kd-true use exact medians: any positive epsilon is
+    // accepted by the selector but unused. Private kinds divide the
+    // level's budget evenly over the D split stages.
+    let exact = matches!(config.kind, TreeKind::KdPure | TreeKind::KdTrue);
+    split_tree::<D, _>(
+        config.height,
+        0,
+        0,
+        (config.domain, 0, points.len()),
+        &mut Vec::new(),
+        &mut |v, _, (r, _, len)| {
+            rects[v] = r;
+            true_counts[v] = len as f64;
+        },
+        &mut |depth, axis, (r, start, len)| {
+            let split = if depth < median_depths {
+                let eps_stage = if exact {
+                    1.0
+                } else {
+                    eps_median[config.height - depth] / D as f64
+                };
+                config.median.select(
+                    rng,
+                    &cols.vals[axis][start..start + len],
+                    r.min[axis],
+                    r.max[axis],
+                    eps_stage.max(f64::MIN_POSITIVE),
+                )
+            } else {
+                r.midpoint(axis)
+            };
+            let (r_lo, r_hi) = r.split_at(axis, split);
+            (r_lo, r_hi, cols.partition(axis, start, len, r_lo.max[axis]))
+        },
+    );
     Ok(())
 }
 
-/// Cuts one node's box along every axis in turn and returns its `2^D`
-/// children as pieces. `cut(axis, piece)` splits one piece along `axis`
-/// and returns the two boxes and the length of the low side, which it
-/// has moved to the front of the piece's range. Piece vectors are
-/// recycled through `pool`, so a build allocates `O(depth)` of them
-/// rather than two per node; hand the result back to `pool` when done.
-fn split_node<const D: usize>(
-    rect: Rect<D>,
-    start: usize,
-    len: usize,
-    pool: &mut Vec<Vec<Piece<D>>>,
-    mut cut: impl FnMut(usize, Piece<D>) -> (Rect<D>, Rect<D>, usize),
-) -> Vec<Piece<D>> {
+/// The one structure recursion, from node `v` at `depth` down: every
+/// family cuts its nodes here. It calls `visit(v, depth, piece)`, then
+/// cuts the node's piece along every axis in turn, each piece with
+/// `cut(depth, axis, piece)`, which returns the two child bounds and the
+/// length of the low side (moved to the front of the piece's range by
+/// whatever store it partitions), and recurses into the `2^D` children
+/// in index order. So this function alone fixes how a node becomes its
+/// children and the order in which every family draws randomness.
+/// Piece vectors are recycled through `pool`, so a build allocates
+/// `O(depth)` of them rather than two per node. Depth <= 12, so stack
+/// use is trivial.
+pub(crate) fn split_tree<const D: usize, B: Copy>(
+    height: usize,
+    v: usize,
+    depth: usize,
+    piece: Piece<B>,
+    pool: &mut Vec<Vec<Piece<B>>>,
+    visit: &mut impl FnMut(usize, usize, Piece<B>),
+    cut: &mut impl FnMut(usize, usize, Piece<B>) -> (B, B, usize),
+) {
+    visit(v, depth, piece);
+    if depth == height {
+        return;
+    }
     let mut pieces = pool.pop().unwrap_or_default();
-    pieces.push((rect, start, len));
+    pieces.push(piece);
     for axis in 0..D {
         let mut next = pool.pop().unwrap_or_default();
         for &piece in pieces.iter() {
             let (_, start, len) = piece;
-            let (r_lo, r_hi, mid) = cut(axis, piece);
-            next.push((r_lo, start, mid));
-            next.push((r_hi, start + mid, len - mid));
+            let (lo, hi, mid) = cut(depth, axis, piece);
+            next.push((lo, start, mid));
+            next.push((hi, start + mid, len - mid));
         }
         pieces.clear();
         pool.push(std::mem::replace(&mut pieces, next));
     }
-    pieces
+    let first_child = (1usize << D) * v + 1;
+    for (j, &child) in pieces.iter().enumerate() {
+        split_tree::<D, B>(height, first_child + j, depth + 1, child, pool, visit, cut);
+    }
+    pieces.clear();
+    pool.push(pieces);
 }
 
-/// The one point-partition recursion, from node `v` down: each node's
-/// box is cut along every axis in turn, each piece at `split(axis,
-/// piece)`, and each cut partitions the piece's point slice in place
-/// (`coord < cut` goes low, so a point on a cut lands on its high side).
-/// Midpoint levels pass the midpoint, kd-cell its grid rule, and the
-/// stream runs it over no points to cut its boxes. Depth-first; depth
-/// <= 12, so stack use is trivial.
-#[allow(clippy::too_many_arguments)]
+/// [`split_tree`] over a point buffer, from the root: each piece is cut
+/// at `split(axis, box)`, and each cut partitions the piece's points in
+/// place (`coord < cut` goes low, so a point on a cut lands on its high
+/// side). The quadtree and a hybrid that switches at the root pass the
+/// midpoint, and kd-cell its grid rule.
 pub(crate) fn split_points<const D: usize>(
     height: usize,
-    v: usize,
-    depth: usize,
-    rect: Rect<D>,
+    domain: Rect<D>,
     pts: &mut [Point<D>],
     rects: &mut [Rect<D>],
     true_counts: &mut [f64],
-    pool: &mut Vec<Vec<Piece<D>>>,
-    split: &mut impl FnMut(usize, &Rect<D>) -> f64,
+    mut split: impl FnMut(usize, &Rect<D>) -> f64,
 ) {
-    rects[v] = rect;
-    true_counts[v] = pts.len() as f64;
-    if depth == height {
-        return;
-    }
-    let mut children = split_node(rect, 0, pts.len(), pool, |axis, (r, start, len)| {
-        let (r_lo, r_hi) = r.split_at(axis, split(axis, &r));
-        let boundary = r_lo.max[axis];
-        let mid = partition_in_place(&mut pts[start..start + len], |p| p.coords[axis] < boundary);
-        (r_lo, r_hi, mid)
-    });
-    let first_child = (1usize << D) * v + 1;
-    for (j, &(child_rect, start, len)) in children.iter().enumerate() {
-        split_points(
-            height,
-            first_child + j,
-            depth + 1,
-            child_rect,
-            &mut pts[start..start + len],
-            rects,
-            true_counts,
-            pool,
-            split,
-        );
-    }
-    children.clear();
-    pool.push(children);
-}
-
-/// The median levels of one axis-split build, over [`SortedColumns`].
-struct MedianSplits<'a, const D: usize> {
-    config: &'a PsdConfig<D>,
-    eps_median: &'a [f64],
-    /// Depth of the first midpoint level (`height` when every level
-    /// splits at a median).
-    median_depths: usize,
-    points: &'a [Point<D>],
-    cols: SortedColumns<D>,
-    rects: &'a mut [Rect<D>],
-    true_counts: &'a mut [f64],
-    rng: &'a mut StdRng,
-    pool: Vec<Vec<Piece<D>>>,
-    /// The points of the switch-level subtree under midpoint splits.
-    buf: Vec<Point<D>>,
-}
-
-impl<const D: usize> MedianSplits<'_, D> {
-    /// Node `v` at `depth` owns `[start, start + len)` of every column.
-    fn split(&mut self, v: usize, depth: usize, rect: Rect<D>, start: usize, len: usize) {
-        self.rects[v] = rect;
-        self.true_counts[v] = len as f64;
-        if depth == self.config.height {
-            return;
-        }
-        if depth == self.median_depths {
-            let ids = &self.cols.ids[0][start..start + len];
-            self.buf.clear();
-            self.buf
-                .extend(ids.iter().map(|&id| self.points[id as usize]));
-            split_points(
-                self.config.height,
-                v,
-                depth,
-                rect,
-                &mut self.buf,
-                self.rects,
-                self.true_counts,
-                &mut self.pool,
-                &mut |axis, r| r.midpoint(axis),
-            );
-            return;
-        }
-        // kd-pure / kd-true use exact medians: any positive epsilon is
-        // accepted by the selector but unused. Private kinds divide the
-        // level's budget evenly over the D split stages.
-        let eps_stage = if matches!(self.config.kind, TreeKind::KdPure | TreeKind::KdTrue) {
-            1.0
-        } else {
-            self.eps_median[self.config.height - depth] / D as f64
-        };
-        let (config, cols, rng) = (self.config, &mut self.cols, &mut *self.rng);
-        let mut children = split_node(rect, start, len, &mut self.pool, |axis, (r, start, len)| {
-            let split = config.median.select(
-                rng,
-                &cols.vals[axis][start..start + len],
-                r.min[axis],
-                r.max[axis],
-                eps_stage.max(f64::MIN_POSITIVE),
-            );
-            let (r_lo, r_hi) = r.split_at(axis, split);
-            let mid = cols.partition(axis, start, len, r_lo.max[axis]);
+    split_tree::<D, _>(
+        height,
+        0,
+        0,
+        (domain, 0, pts.len()),
+        &mut Vec::new(),
+        &mut |v, _, (r, _, len)| {
+            rects[v] = r;
+            true_counts[v] = len as f64;
+        },
+        &mut |_, axis, (r, start, len)| {
+            let (r_lo, r_hi) = r.split_at(axis, split(axis, &r));
+            let boundary = r_lo.max[axis];
+            let mid =
+                partition_in_place(&mut pts[start..start + len], |p| p.coords[axis] < boundary);
             (r_lo, r_hi, mid)
-        });
-        let first_child = (1usize << D) * v + 1;
-        for (j, &(child_rect, start, len)) in children.iter().enumerate() {
-            self.split(first_child + j, depth + 1, child_rect, start, len);
-        }
-        children.clear();
-        self.pool.push(children);
-    }
+        },
+    );
 }
 
 /// Every point's coordinates, sorted once per axis for a whole build.
@@ -950,6 +893,8 @@ impl<const D: usize> MedianSplits<'_, D> {
 /// range at a boundary along `axis` leaves that axis's column as it is
 /// (the low side is a prefix) and stably partitions the other `D - 1`
 /// columns by a per-point side bit, which keeps each of them sorted.
+/// The median cuts and a hybrid's midpoint cuts split it alike, so a
+/// hybrid's points stay in these columns from the root to the leaves.
 ///
 /// Scratch per point: 12 bytes per axis (an `f64` and a `u32`), one
 /// side bit, and a 12-byte spill slot for at most half the points, so

@@ -3,9 +3,11 @@
 //! Points are mapped to their indices on a space-filling curve over the
 //! domain (order 18 by default, Section 8.2); a one-dimensional private
 //! decomposition — a binary kd-tree over index values, flattened to
-//! fanout `2^D` like every other family — is built with the configured
-//! median mechanism; and each node's rectangle is the bounding box of
-//! its *index range*, computed by [`dpsd_hilbert::NdCurve::range_bbox`].
+//! fanout `2^D` like every other family and cut by the same structure
+//! recursion, whose bounds here are index ranges — is built with the
+//! configured median mechanism; and each node's rectangle is the
+//! bounding box of its *index range*, computed by
+//! [`dpsd_hilbert::NdCurve::range_bbox`].
 //! Because the bounding box is a function of the (privately chosen) range
 //! endpoints only, releasing the rectangles costs no extra budget.
 //!
@@ -14,7 +16,7 @@
 //! method still applies because each node's *points* are exactly those
 //! with indices in its range, and they all lie inside its rectangle.
 
-use super::build::{BuildError, PsdConfig, TreeKind};
+use super::build::{split_tree, BuildError, PsdConfig, TreeKind};
 use crate::geometry::{Point, Rect};
 use crate::median::MedianSelector;
 use dpsd_hilbert::NdCurve;
@@ -52,9 +54,11 @@ fn split_index(
 /// the rounds, mirroring the axis-sequential pipeline), and each node's
 /// box is the exact bounding box of its index range.
 ///
-/// Only bottom-level nodes and empty ranges call
-/// [`NdCurve::range_bbox`]; every other node takes the union of its
-/// non-empty children's boxes. That union is exact: the children's
+/// The ranges are cut by the builders' one structure recursion
+/// ([`split_tree`]) over the sorted curve indices. Its visit boxes only
+/// bottom-level nodes (through [`NdCurve::range_bbox`]) and empty
+/// ranges; one bottom-up pass then gives every other node the union of
+/// its non-empty children's boxes. That union is exact: the children's
 /// ranges partition the node's range, and the cell-to-coordinate map
 /// is monotone, so it yields the very bits `range_bbox` would.
 pub(crate) fn build_structure_nd<const D: usize>(
@@ -112,63 +116,38 @@ pub(crate) fn build_structure_nd<const D: usize>(
         }
     };
 
-    #[allow(clippy::too_many_arguments)]
-    fn recurse<const D: usize>(
-        config: &PsdConfig<D>,
-        eps_median: &[f64],
-        rng: &mut StdRng,
-        v: usize,
-        depth: usize,
-        lo: u64,
-        hi: u64,
-        idx: &[f64],
-        rects: &mut [Rect<D>],
-        true_counts: &mut [f64],
-        range_rect: &dyn Fn(u64, u64) -> Rect<D>,
-    ) {
-        true_counts[v] = idx.len() as f64;
-        if depth == config.height {
-            rects[v] = range_rect(lo, hi);
-            return;
-        }
-        let level = config.height - depth;
-        let eps_stage = eps_median[level] / D as f64;
-        // D rounds of binary range splits yield the node's 2^D children
-        // ((range, slice-offset, slice-length) pieces; the indices below
-        // a split are a prefix of the sorted slice).
-        let mut pieces: Vec<(u64, u64, usize, usize)> = vec![(lo, hi, 0, idx.len())];
-        for _stage in 0..D {
-            let mut next = Vec::with_capacity(pieces.len() * 2);
-            for &(r_lo, r_hi, start, len) in pieces.iter() {
-                let slice = &idx[start..start + len];
-                let s = split_index(&config.median, rng, slice, r_lo, r_hi, eps_stage);
-                let mid = slice.partition_point(|&i| i < s as f64);
-                next.push((r_lo, s, start, mid));
-                next.push((s, r_hi, start + mid, len - mid));
+    // Each node's range is a bound of `split_tree`, and its points one
+    // sorted slice of the indices (those below a split are a prefix).
+    // The visit boxes the bottom level and every empty range.
+    let mut empty = vec![false; rects.len()];
+    split_tree::<D, (u64, u64)>(
+        config.height,
+        0,
+        0,
+        ((0, curve.cell_count()), 0, indices.len()),
+        &mut Vec::new(),
+        &mut |v, depth, ((lo, hi), _, len)| {
+            true_counts[v] = len as f64;
+            empty[v] = hi <= lo;
+            if depth == config.height || hi <= lo {
+                rects[v] = range_rect(lo, hi);
             }
-            pieces = next;
-        }
-        let first_child = (1usize << D) * v + 1;
-        for (j, &(r_lo, r_hi, start, len)) in pieces.iter().enumerate() {
-            recurse(
-                config,
-                eps_median,
-                rng,
-                first_child + j,
-                depth + 1,
-                r_lo,
-                r_hi,
-                &idx[start..start + len],
-                rects,
-                true_counts,
-                range_rect,
-            );
-        }
-        rects[v] = pieces
-            .iter()
-            .enumerate()
-            .filter(|&(_, &(r_lo, r_hi, _, _))| r_hi > r_lo)
-            .map(|(j, _)| rects[first_child + j])
+        },
+        &mut |depth, _, ((lo, hi), start, len)| {
+            let slice = &indices[start..start + len];
+            let eps_stage = eps_median[config.height - depth] / D as f64;
+            let s = split_index(&config.median, rng, slice, lo, hi, eps_stage);
+            ((lo, s), (s, hi), slice.partition_point(|&i| i < s as f64))
+        },
+    );
+    // Bottom-up, every other node takes the union of its non-empty
+    // children's boxes, folded in child order.
+    let fanout = 1usize << D;
+    for v in (0..(rects.len() - 1) / fanout).rev() {
+        let first_child = fanout * v + 1;
+        if let Some(union) = (first_child..first_child + fanout)
+            .filter(|&c| !empty[c])
+            .map(|c| rects[c])
             .reduce(|mut b, c| {
                 for k in 0..D {
                     b.min[k] = b.min[k].min(c.min[k]);
@@ -176,22 +155,10 @@ pub(crate) fn build_structure_nd<const D: usize>(
                 }
                 b
             })
-            .unwrap_or_else(|| range_rect(lo, hi));
+        {
+            rects[v] = union;
+        }
     }
-
-    recurse(
-        config,
-        eps_median,
-        rng,
-        0,
-        0,
-        0,
-        curve.cell_count(),
-        &indices,
-        rects,
-        true_counts,
-        &range_rect,
-    );
     Ok(())
 }
 

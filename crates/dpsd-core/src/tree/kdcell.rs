@@ -10,9 +10,11 @@
 //! deems the region uniform, in which case the split degenerates to the
 //! midpoint (splitting uniform regions more cleverly has nothing to
 //! gain, mirroring \[26\]'s "split nodes which are not considered
-//! uniform"). The cuts run through the builders' one point-partition
-//! recursion, which tallies the exact node counts from the data as it
-//! cuts; the count stage perturbs them like every other family's.
+//! uniform"). The cuts run through the builders' one structure
+//! recursion over a point buffer ([`split_points`]), which tallies the
+//! exact node counts from the data as it cuts; the count stage perturbs
+//! them like every other family's. A grid the build cannot allocate or
+//! noise is refused by [`CellGridNd::build`] itself.
 
 use super::build::{split_points, BuildError, PsdConfig, TreeKind};
 use crate::geometry::{Point, Rect};
@@ -27,7 +29,8 @@ const UNIFORMITY_THRESHOLD: f64 = 0.4;
 ///
 /// The split grid is a [`CellGridNd`] at the resolution given by
 /// [`PsdConfig::grid_resolution_nd`]. The tree is the builders' one
-/// point-partition recursion ([`split_points`]) with a grid rule: each
+/// structure recursion over a point buffer ([`split_points`]) with a
+/// grid rule: each
 /// flattened node performs one split per axis in sequence, reading the
 /// axis marginal's median off the noisy grid — unless the region scores
 /// uniform, in which case the split degenerates to the midpoint.
@@ -40,16 +43,13 @@ pub(crate) fn build_structure_nd<const D: usize>(
     rng: &mut StdRng,
 ) -> Result<(), BuildError> {
     debug_assert_eq!(config.kind, TreeKind::KdCell);
-    if !eps_grid.is_finite() || eps_grid <= 0.0 {
-        return Err(BuildError::InvalidEpsilon(eps_grid));
-    }
     let grid = CellGridNd::build(
         rng,
         points,
         config.domain,
         config.grid_resolution_nd(),
         eps_grid,
-    );
+    )?;
 
     // One uniformity verdict per node, taken on its axis-0 piece (the
     // node's own box), governs every axis of that node; when it is not
@@ -59,14 +59,11 @@ pub(crate) fn build_structure_nd<const D: usize>(
     let mut uniform = false;
     split_points(
         config.height,
-        0,
-        0,
         config.domain,
         &mut points.to_vec(),
         rects,
         true_counts,
-        &mut Vec::new(),
-        &mut |axis, r| {
+        |axis, r| {
             if axis == 0 {
                 uniform = grid.uniformity_score(r) < UNIFORMITY_THRESHOLD;
             }

@@ -36,7 +36,7 @@ mod kdcell;
 pub mod prune;
 pub mod released;
 
-pub(crate) use build::{split_points, LevelBudgets};
+pub(crate) use build::{noisable, split_tree, LevelBudgets};
 pub use build::{BuildError, PsdConfig, TreeKind};
 pub use dpsd_hilbert::CurveKind;
 pub use released::ReleasedSynopsis;

@@ -194,13 +194,14 @@ pub fn run(scale: &Scale, seed: u64) -> Vec<Table> {
                 let cells = (DOMAIN_HI / CELL_LENGTH) as usize;
                 let points: Vec<Point<1>> =
                     values.iter().map(|&v| Point::from_coords([v])).collect();
-                Some(CellGridNd::build(
+                CellGridNd::build(
                     &mut rng,
                     &points,
                     range(0.0, DOMAIN_HI),
                     [cells],
                     EPS_PER_LEVEL,
-                ))
+                )
+                .ok()
             }
             _ => None,
         };

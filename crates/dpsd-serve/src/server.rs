@@ -21,7 +21,7 @@
 //!
 //! The serving layer adds **zero numeric drift**: every estimate a
 //! client receives is bit-identical to calling
-//! [`SpatialSynopsis::query`]/[`query_batch`](SpatialSynopsis::query_batch)
+//! [`query`](dpsd_core::synopsis::SpatialSynopsis::query)/[`query_batch`](dpsd_core::synopsis::SpatialSynopsis::query_batch)
 //! on the published release directly: whichever format an artifact
 //! arrived in, the tenant *is* the loaded [`ReleasedSynopsis`], queried
 //! by the same kernel as the owner's tree. That holds through all three
@@ -47,7 +47,7 @@ use crate::registry::{
 use crate::stream::{IngestReport, StreamManager, StreamSpec};
 use dpsd_core::exec::Parallelism;
 use dpsd_core::geometry::Rect;
-use dpsd_core::synopsis::{ParallelQuery, SpatialSynopsis};
+use dpsd_core::synopsis::ParallelQuery;
 use dpsd_core::tree::ReleasedSynopsis;
 use serde::Value;
 use std::io::{BufReader, BufWriter};
@@ -481,42 +481,22 @@ fn parse_rect<const D: usize>(coords: &[f64]) -> Result<Rect<D>, ServeError> {
     Rect::from_corners(min, max).map_err(|e| ServeError::BadRequest(format!("invalid rect: {e}")))
 }
 
-/// Read-through single query: bit-identical to `synopsis.query(rect)`
-/// whether the answer came from the cache or not.
-fn answer_one<const D: usize>(
-    synopsis: &ReleasedSynopsis<D>,
-    published: &PublishedSynopsis,
-    cache: &ShardedCache,
-    coords: &[f64],
-) -> Result<(f64, bool), ServeError> {
-    let rect = parse_rect::<D>(coords)?;
-    let key = CacheKey::new(&published.name, published.version, &rect);
-    if let Some(hit) = cache.get(&key) {
-        return Ok((hit, true));
-    }
-    let estimate = synopsis.query(&rect);
-    cache.insert(key, estimate);
-    Ok((estimate, false))
-}
-
-/// Read-through batch: probe every rect, answer the misses with one
-/// sharded `query_batch_parallel` call (a loop of single descents per
-/// shard), then insert the misses in order. A rect repeated within one
-/// batch misses on every occurrence and its later insert refreshes the
-/// earlier one. Because `query_batch` is bit-identical to single
-/// queries, the spliced vector equals `synopsis.query_batch(all)` bit
-/// for bit.
+/// The one cache read-through, for a single query and a batch alike:
+/// probe every rect, answer the misses with one sharded
+/// `query_batch_parallel` call (a loop of single descents per shard;
+/// one miss runs the plain `query`), then insert the misses in order. A
+/// rect repeated within one batch misses on every occurrence and its
+/// later insert refreshes the earlier one. Because `query_batch` is
+/// bit-identical to single queries, the spliced vector equals
+/// `synopsis.query_batch(rects)` bit for bit, whether an answer came
+/// from the cache or not.
 fn answer_many<const D: usize>(
     synopsis: &ReleasedSynopsis<D>,
     published: &PublishedSynopsis,
     cache: &ShardedCache,
-    wire_rects: &[Value],
+    rects: &[Rect<D>],
     par: Parallelism,
-) -> Result<(Vec<f64>, u64), ServeError> {
-    let mut rects = Vec::with_capacity(wire_rects.len());
-    for w in wire_rects {
-        rects.push(parse_rect::<D>(&coords_array(w, "rects[i]")?)?);
-    }
+) -> (Vec<f64>, u64) {
     let mut answers = vec![0.0f64; rects.len()];
     let mut miss_indices = Vec::new();
     let mut misses = Vec::new();
@@ -542,7 +522,7 @@ fn answer_many<const D: usize>(
             answer,
         );
     }
-    Ok((answers, hits))
+    (answers, hits)
 }
 
 fn lookup(state: &ServerState, name: &str) -> Result<Arc<PublishedSynopsis>, ServeError> {
@@ -562,8 +542,11 @@ fn handle_query(state: &ServerState, name: &str, request: &Request) -> Result<St
         .ok_or_else(|| ServeError::BadRequest("body must have a `rect` field".into()))?;
     let coords = coords_array(rect_value, "rect")?;
     let (estimate, cached) = with_synopsis!(&published.synopsis, s => {
-        answer_one(s, &published, &state.cache, &coords)
-    })?;
+        let rect = parse_rect(&coords)?;
+        let par = state.config.parallelism;
+        let (answers, hits) = answer_many(s, &published, &state.cache, &[rect], par);
+        (answers[0], hits == 1)
+    });
     to_body(&Value::Object(vec![
         ("name".to_string(), Value::String(published.name.clone())),
         (
@@ -592,8 +575,12 @@ fn handle_batch(state: &ServerState, name: &str, request: &Request) -> Result<St
         )));
     }
     let (answers, cache_hits) = with_synopsis!(&published.synopsis, s => {
-        answer_many(s, &published, &state.cache, wire_rects, state.config.parallelism)
-    })?;
+        let mut rects = Vec::with_capacity(wire_rects.len());
+        for w in wire_rects {
+            rects.push(parse_rect(&coords_array(w, "rects[i]")?)?);
+        }
+        answer_many(s, &published, &state.cache, &rects, state.config.parallelism)
+    });
     to_body(&Value::Object(vec![
         ("name".to_string(), Value::String(published.name.clone())),
         (

@@ -541,6 +541,10 @@ fn grid_and_curve_families_match_their_byte_pins() {
         &[(1, (8, 4)), (2, (6, 6))],
         &[(1, 2), (2, 6)],
     ));
+    // Order 1 with more leaves than curve cells: most ranges are empty,
+    // so the empty-range boxes and the clamped splits carry the bytes.
+    prints.extend(probe_prints::<2>(&[], &[(3, 1)]));
+    prints.extend(probe_prints::<3>(&[], &[(2, 1)]));
     if std::env::var("PRINT_FINGERPRINTS").is_ok() {
         for (name, fp) in &prints {
             println!("(\"{name}\", {fp:#018x}),");
@@ -634,19 +638,41 @@ fn kd_probe_prints<const D: usize>(heights: &[usize]) -> Vec<(String, u64)> {
     prints
 }
 
+/// Builds kd-hybrid at switch levels 0, 1, `h - 1` and `h` over both
+/// probe datasets and folds each release's `dpsd-bin` bytes: the edges
+/// where a build hands its nodes from median cuts to midpoint cuts.
+fn hybrid_switch_prints<const D: usize>(h: usize) -> Vec<(String, u64)> {
+    let domain = Rect::from_corners([0.0; D], [64.0; D]).unwrap();
+    let mut prints = Vec::new();
+    for set in 0..2 {
+        let pts = probe_points::<D>(set);
+        for switch in [0, 1, h - 1, h] {
+            prints.push(release_print(
+                format!("kd-hybrid/switch{switch}/d{D}/h{h}/set{set}"),
+                &PsdConfig::kd_hybrid(domain, h, 0.6, switch),
+                &pts,
+            ));
+        }
+    }
+    prints
+}
+
 /// Pins the full `dpsd-bin` bytes of the private-median families where
 /// the planar `GOLDEN` table cannot see them: every axis-splitting
 /// median family at `D` in {1, 3, 4} and, at `D = 2`, on the tie-heavy
-/// dataset, plus the sampled exponential and the smooth-sensitivity
-/// selectors at `D = 2`. Captured before the builder sorted each axis
-/// once per build, so they pin that presorting reproduces the per-node
-/// sorts bit for bit. Regenerate with `PRINT_FINGERPRINTS=1` only for a
+/// dataset, the sampled exponential and the smooth-sensitivity
+/// selectors at `D = 2`, and kd-hybrid at the edges of its switch level
+/// at `D` in {2, 3}. Captured before the builder sorted each axis once
+/// per build, so they pin that presorting reproduces the per-node sorts
+/// bit for bit. Regenerate with `PRINT_FINGERPRINTS=1` only for a
 /// deliberate change.
 #[test]
 fn median_families_match_their_byte_pins() {
     let mut prints = kd_probe_prints::<1>(&[4, 7]);
     prints.extend(kd_probe_prints::<3>(&[2, 3]));
     prints.extend(kd_probe_prints::<4>(&[1, 2]));
+    prints.extend(hybrid_switch_prints::<2>(5));
+    prints.extend(hybrid_switch_prints::<3>(3));
     let ties = Rect::from_corners([-32.0; 2], [32.0; 2]).unwrap();
     for config in [
         PsdConfig::kd_standard(ties, 4, 0.8),
@@ -884,7 +910,8 @@ fn fig4_cell_medians(n: usize, max_depth: usize, seed: u64) -> Vec<f64> {
         Rect::from_corners([0.0], [DOMAIN_HI]).unwrap(),
         [(DOMAIN_HI / CELL_LENGTH) as usize],
         EPS_PER_LEVEL,
-    );
+    )
+    .unwrap();
     let mut medians = Vec::new();
     recurse(&grid, &values, (0.0, DOMAIN_HI), 0, max_depth, &mut medians);
     medians
@@ -930,7 +957,9 @@ fn fig4_cell_medians_match_their_pins() {
 /// ran separate planar builders, so they pin that the one generic
 /// builder per family reproduces them; the kd-cell entries at `D >= 3`
 /// were captured once the grid multiplied overlap fractions in axis
-/// order, `(c · f_0) · f_1 · …`.
+/// order, `(c · f_0) · f_1 · …`; the order-1 curve entries were
+/// captured while Hilbert-R still cut its ranges in a recursion of its
+/// own.
 const GOLDEN_BIN: &[(&str, u64)] = &[
     ("kd-cell/d1/h3/g16x1/set0", 0x9ff964f344a03e7a),
     ("kd-cell/d1/h3/g16x1/prune/set0", 0x79cff81abb4624ac),
@@ -1032,11 +1061,29 @@ const GOLDEN_BIN: &[(&str, u64)] = &[
     ("hilbert-r/d4/h2/o6/prune/set1", 0x96d86f975c42f700),
     ("zorder-r/d4/h2/o6/set1", 0x1e5105eb863f573c),
     ("zorder-r/d4/h2/o6/prune/set1", 0x7cfd8a6a0df3db70),
+    ("hilbert-r/d2/h3/o1/set0", 0x78b7ea52286cf1cd),
+    ("hilbert-r/d2/h3/o1/prune/set0", 0x4d3cf8027379a50e),
+    ("zorder-r/d2/h3/o1/set0", 0x6e12b6909a4fafac),
+    ("zorder-r/d2/h3/o1/prune/set0", 0x09e9a967c43883b3),
+    ("hilbert-r/d2/h3/o1/set1", 0x2c27abbcba8481c6),
+    ("hilbert-r/d2/h3/o1/prune/set1", 0x4a2637c5675c264b),
+    ("zorder-r/d2/h3/o1/set1", 0xa725df4e22226128),
+    ("zorder-r/d2/h3/o1/prune/set1", 0x1974df33ba4895f7),
+    ("hilbert-r/d3/h2/o1/set0", 0x4234f17ef1dbd97b),
+    ("hilbert-r/d3/h2/o1/prune/set0", 0x10799bc2974917a9),
+    ("zorder-r/d3/h2/o1/set0", 0xe22a162e5af405a6),
+    ("zorder-r/d3/h2/o1/prune/set0", 0x8ba139505c7cab9b),
+    ("hilbert-r/d3/h2/o1/set1", 0xc0b5fb7c0a2aa722),
+    ("hilbert-r/d3/h2/o1/prune/set1", 0x4800ea614953cd83),
+    ("zorder-r/d3/h2/o1/set1", 0x99804be1c2223a1e),
+    ("zorder-r/d3/h2/o1/prune/set1", 0x299072bd9e91dac9),
 ];
 
 /// FNV folds of the median-family probe releases' `dpsd-bin` bytes,
 /// captured while every split stage still collected and sorted its
-/// node's values.
+/// node's values; the `switch` entries were captured while a hybrid
+/// still gathered each switch-level subtree's points into a buffer of
+/// its own.
 const GOLDEN_MEDIAN_BIN: &[(&str, u64)] = &[
     ("kd-standard/d1/h4/set0", 0xd33ddd4288a51bd6),
     ("kd-hybrid/d1/h4/set0", 0x742241e3f17b0852),
@@ -1145,6 +1192,22 @@ const GOLDEN_MEDIAN_BIN: &[(&str, u64)] = &[
     ("kd-standard/smooth/d2/h4/scattered", 0x39fd55a540d108d2),
     ("kd-hybrid/sampled-em/d2/h5/scattered", 0x8f2c1657660c3580),
     ("kd-hybrid/smooth/d2/h5/scattered", 0x768b6340ea256fa0),
+    ("kd-hybrid/switch0/d2/h5/set0", 0xd1c5c9db282e7f60),
+    ("kd-hybrid/switch1/d2/h5/set0", 0xcf21418891e5fc5c),
+    ("kd-hybrid/switch4/d2/h5/set0", 0xac1cfa3fd1079f3e),
+    ("kd-hybrid/switch5/d2/h5/set0", 0x7c89d61d888b3922),
+    ("kd-hybrid/switch0/d2/h5/set1", 0x081ab14576c46d2b),
+    ("kd-hybrid/switch1/d2/h5/set1", 0xe1664fc5512a1e80),
+    ("kd-hybrid/switch4/d2/h5/set1", 0x6193a9e94c0877c7),
+    ("kd-hybrid/switch5/d2/h5/set1", 0xde7b7da6ccb08a9d),
+    ("kd-hybrid/switch0/d3/h3/set0", 0xaf80667ebd7f9dad),
+    ("kd-hybrid/switch1/d3/h3/set0", 0xb7d1421239a7303d),
+    ("kd-hybrid/switch2/d3/h3/set0", 0x8149467ee34dcbb4),
+    ("kd-hybrid/switch3/d3/h3/set0", 0x909e46902725fba0),
+    ("kd-hybrid/switch0/d3/h3/set1", 0xa060fd4ec5a7c5d3),
+    ("kd-hybrid/switch1/d3/h3/set1", 0xa29342c6bf83c1d3),
+    ("kd-hybrid/switch2/d3/h3/set1", 0x01fcddf71f3aee6f),
+    ("kd-hybrid/switch3/d3/h3/set1", 0x2e29ba5ce9b8d5b7),
 ];
 
 /// FNV folds of the flat-grid answers and query profiles, captured
